@@ -48,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verify", action="store_true",
                         help="certify each semantic solve against random feasible perturbations")
     parser.add_argument("--eps1", type=float, default=None,
-                        help="override the capacity bisection accuracy")
+                        help="override the server-split accuracy bound")
     parser.add_argument("--eps2", type=float, default=None,
-                        help="override the transmit bisection accuracy")
+                        help="override the uplink accuracy bound (the exact solve meets any)")
     parser.add_argument("--eps-outer", type=float, default=None,
                         help="override the outer relative convergence threshold")
     parser.add_argument("--max-iters", type=int, default=None,

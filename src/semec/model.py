@@ -72,17 +72,20 @@ class TerminalDevice:
     sem_p: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require(self.task_bits >= 0, "task_bits must be nonnegative")
+        # chained comparisons also reject NaN; messages are formatted only on
+        # failure, since scenarios build devices by the hundred thousand
+        _require(0 <= self.task_bits < math.inf, "task_bits must be finite and nonnegative")
         for name in ("intensity", "energy_coeff", "f_local_max", "p_tx_max",
                      "energy_budget", "channel_gain"):
-            _require(float(getattr(self, name)) > 0, f"{name} must be positive")
+            if not 0 < float(getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         _require(0 < self.beta_min <= 1, "beta_min must lie in (0, 1]")
         if self.distance is not None:
-            _require(self.distance > 0, "distance must be positive")
+            _require(0 < self.distance < math.inf, "distance must be finite and positive")
         for name in ("sem_a", "sem_k", "sem_p"):
             value = getattr(self, name)
-            if value is not None:
-                _require(value > 0, f"{name} must be positive when given")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive when given")
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,10 @@ class SystemConfig:
 
     ``noise_psd_dbm_hz`` is a power spectral density; the rate formula uses
     the integrated noise power over one sub-channel of ``bandwidth_hz``.
-    Defaults reproduce the reference simulation setup.
+    Defaults reproduce the reference simulation setup. Every field must be
+    finite. ``eps_bisect_capacity`` bounds the Newton solve of the server
+    split; ``eps_bisect_transmit`` is only an upper bound on the uplink
+    time's error, which the exact uplink solve always meets.
     """
 
     n_devices: int
@@ -107,11 +113,13 @@ class SystemConfig:
     max_outer_iters: int = 100
 
     def __post_init__(self) -> None:
-        _require(self.n_devices >= 1, "n_devices must be a positive integer")
+        _require(1 <= self.n_devices < math.inf, "n_devices must be a positive integer")
+        _require(abs(self.noise_psd_dbm_hz) < math.inf, "noise_psd_dbm_hz must be finite")
         for name in ("bandwidth_hz", "f_mec_total", "sem_a", "sem_k", "sem_p",
                      "eps_bisect_capacity", "eps_bisect_transmit", "eps_outer"):
-            _require(float(getattr(self, name)) > 0, f"{name} must be positive")
-        _require(self.max_outer_iters >= 1, "max_outer_iters must be positive")
+            _require(0 < float(getattr(self, name)) < math.inf,
+                     f"{name} must be finite and positive")
+        _require(1 <= self.max_outer_iters < math.inf, "max_outer_iters must be positive")
 
     @property
     def noise_power_w(self) -> float:

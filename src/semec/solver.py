@@ -4,20 +4,21 @@ The relaxed problem is convex once the extraction factor and the two compute
 rates are substituted by their logarithms, so block-coordinate descent with
 exact block solves converges monotonically. One outer iteration runs:
 
-1. uplink block: per-device smallest transmit time and its energy, by
-   bracketed bisection on the perspective rate constraint;
+1. uplink block: per-device smallest transmit time and its energy; at peak
+   power in closed form, and on a binding energy budget by the Lambert-W
+   closed form of the perspective rate equation, solved by monotone Newton;
 2. extraction block: the closed-form optimal factor on its feasible
    interval, then a per-device joint refinement of (factor, uplink time,
    uplink energy) that accounts for the induced change of the minimal
    transmit time (without it the factor cannot leave a tight rate
    constraint when the remote-intensity exponent is >= 1);
-3. rate block: the energy-capped local rate in closed form, then one
-   bisection on the delay cap that splits the server capacity so every
-   active device finishes at the same time.
+3. rate block: the energy-capped local rate in closed form, then monotone
+   Newton on the delay cap that splits the server capacity so every active
+   device finishes at the same time.
 
-Bisections iterate past the configured accuracies down to relative machine
-precision; the configured epsilons remain guaranteed upper bounds on the
-returned bracket widths.
+Every inner solve runs to relative machine precision and ends on the
+feasible side of its float constraint, so the configured epsilons are upper
+bounds that the returned values always meet.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -45,9 +47,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_MAX_DOUBLINGS = 60
-_MAX_BISECT_ITERS = 240
-_REL_FLOOR = 1e-15
+_MAX_ITERS = 100  # cap on every Newton and false-position loop
+_MAX_NUDGES = 64  # cap on the steps onto the feasible side of a float predicate
+_ULPS = 4.0 * np.finfo(float).eps  # relative stopping step, and the first nudge
 
 
 class FeasibilityCause(Enum):
@@ -154,11 +156,16 @@ def _remote_cycles(sc: _Scenario, beta: np.ndarray) -> np.ndarray:
     return np.where(sc.active, sc.A * sc.I * beta ** (1.0 - sc.p), 0.0)
 
 
+def _bits_carried(sc: _Scenario, h, e, t):
+    # the perspective rate t*B*log2(1 + h*e/(t*sigma^2)) for t > 0
+    return t * (sc.B / _LN2) * np.log1p(h * e / (t * sc.sigma2))
+
+
 def _uplink_bits(sc: _Scenario, e: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.zeros(sc.n)
     m = t > 0
     if np.any(m):
-        out[m] = t[m] * sc.B * np.log2(1.0 + sc.h[m] * e[m] / (t[m] * sc.sigma2))
+        out[m] = _bits_carried(sc, sc.h[m], e[m], t[m])
     return out
 
 
@@ -191,21 +198,52 @@ def _local_rate_block(sc: _Scenario, beta: np.ndarray, e_transmit: np.ndarray) -
     return np.where(sc.active, np.minimum(sc.f_max, unclamped), sc.f_max)
 
 
-def _rate_condition(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
-                    t: np.ndarray) -> np.ndarray:
-    nu = np.minimum(e_budget, sc.p_max * t)
-    safe_t = np.maximum(t, 1e-300)
-    lhs = t * sc.B * np.log2(1.0 + sc.h * nu / (safe_t * sc.sigma2))
-    return np.where(t > 0, lhs, 0.0) >= bits
+def _t_energy_limited(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
+                      t_power: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """Smallest t with t*B*log2(1 + h*e_budget/(t*sigma^2)) >= bits, per lane.
+
+    With s = ln(1 + h*e/(t*sigma^2)) and c = bits*sigma^2*ln2/(h*e*B) the rate
+    equation reads s = ln(1 + s/c), whose positive root (the W_{-1} branch of
+    Lambert's function) exists iff c < 1 and gives t = bits*ln2/(B*s). The
+    difference s - ln(1 + s/c) is convex and positive above the root, so
+    Newton's method started from s(t_power) descends to it monotonically.
+    The time is then nudged up until the float predicate holds.
+    """
+    idx = np.flatnonzero(lanes)
+    h, e, b = sc.h[idx], e_budget[idx], bits[idx]
+    c = b * sc.sigma2 * _LN2 / (h * e * sc.B)
+    if np.any(c >= 1.0):
+        raise FeasibilityError(int(idx[np.argmax(c >= 1.0)]), FeasibilityCause.RATE_CAP_TOO_LOW,
+                               "required bits exceed the energy-capped capacity")
+    s = np.log1p(h * e / (t_power[idx] * sc.sigma2))
+    for _ in range(_MAX_ITERS):
+        excess = s - np.log1p(s / c)
+        gain = 1.0 - 1.0 / (c + s)
+        moving = (excess > 0) & (gain > 0)
+        step = excess / np.where(moving, gain, 1.0)
+        moving &= step > _ULPS * s
+        if not np.any(moving):
+            break
+        s = np.where(moving, s - step, s)
+    t = b * _LN2 / (sc.B * s)
+    nudge = _ULPS
+    for _ in range(_MAX_NUDGES):
+        short = _bits_carried(sc, h, e, t) < b
+        if not np.any(short):
+            break
+        t = np.where(short, t * (1.0 + nudge), t)
+        nudge *= 2.0
+    else:
+        raise FeasibilityError(int(idx[np.argmax(short)]), FeasibilityCause.RATE_CAP_TOO_LOW,
+                               "no time satisfies the rate condition")
+    return t
 
 
-def _transmit_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
-                    cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+def _transmit_block(sc: _Scenario, beta: np.ndarray,
+                    f_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t_out = np.zeros(sc.n)
     e_out = np.zeros(sc.n)
     act = sc.active
-    if not np.any(act):
-        return t_out, e_out
     bits = np.where(act, beta * sc.A, 0.0)
     e_budget = sc.E - _extraction_energy(sc, beta, f_local)
     bad = act & (e_budget <= 0)
@@ -219,38 +257,11 @@ def _transmit_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
     t_out[power_limited] = t_power[power_limited]
     e_out[power_limited] = (sc.p_max * t_power)[power_limited]
 
+    # past t_power the energy cap binds, so the whole leftover budget is spent
     energy_limited = act & ~power_limited
     if np.any(energy_limited):
-        saturation = sc.B * sc.h * e_budget / (sc.sigma2 * _LN2)
-        hopeless = energy_limited & (bits >= saturation)
-        if np.any(hopeless):
-            idx = int(np.argmax(hopeless))
-            raise FeasibilityError(idx, FeasibilityCause.RATE_CAP_TOO_LOW,
-                                   "required bits exceed the energy-capped capacity")
-        ub0 = bits / (sc.B * np.log2(1.0 + sc.h * np.minimum(sc.p_max, e_budget) / sc.sigma2))
-        ub = np.where(energy_limited, np.maximum(ub0, t_power), 1.0)
-        lb = np.where(energy_limited, t_power, 0.0)
-        growing = energy_limited & ~_rate_condition(sc, bits, e_budget, ub)
-        for _ in range(_MAX_DOUBLINGS + 1):
-            if not np.any(growing):
-                break
-            ub = np.where(growing, 2.0 * ub, ub)
-            growing = growing & ~_rate_condition(sc, bits, e_budget, ub)
-        if np.any(growing):
-            idx = int(np.argmax(growing))
-            raise FeasibilityError(idx, FeasibilityCause.RATE_CAP_TOO_LOW,
-                                   "no bracket satisfies the rate condition")
-        for _ in range(_MAX_BISECT_ITERS):
-            tol = np.minimum(cfg.eps_bisect_transmit, np.maximum(ub * _REL_FLOOR, 1e-300))
-            open_lanes = energy_limited & (ub - lb > tol)
-            if not np.any(open_lanes):
-                break
-            mid = 0.5 * (lb + ub)
-            ok = _rate_condition(sc, bits, e_budget, mid)
-            ub = np.where(open_lanes & ok, mid, ub)
-            lb = np.where(open_lanes & ~ok, mid, lb)
-        t_out[energy_limited] = ub[energy_limited]
-        e_out[energy_limited] = np.minimum(e_budget, sc.p_max * ub)[energy_limited]
+        t_out[energy_limited] = _t_energy_limited(sc, bits, e_budget, t_power, energy_limited)
+        e_out[energy_limited] = e_budget[energy_limited]
     return t_out, e_out
 
 
@@ -258,39 +269,33 @@ def _remote_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
                   t_transmit: np.ndarray, cfg: SystemConfig) -> tuple[float, np.ndarray]:
     f_remote = np.zeros(sc.n)
     act = sc.active
-    n_act = int(np.count_nonzero(act))
-    if n_act == 0:
+    if not np.any(act):
         return 0.0, f_remote
-    w = _remote_cycles(sc, beta)
-    base = _t_local(sc, beta, f_local) + t_transmit
-    t_min = float(np.max(np.where(act, base + w / sc.F, -np.inf)))
-    t_max = float(np.max(np.where(act, base + w * n_act / sc.F, -np.inf)))
-    if not np.all(t_max - base[act] > 0):
-        idx = int(np.argmax(act & (t_max - base <= 0)))
-        raise FeasibilityError(idx, FeasibilityCause.INVALID_SCENARIO,
-                               "empty delay budget at the capacity upper bound")
-
-    w_act = w[act]
-    base_act = base[act]
-    for _ in range(_MAX_BISECT_ITERS):
-        tol = min(cfg.eps_bisect_capacity, max(t_max * _REL_FLOOR, 1e-300))
-        if t_max - t_min <= tol:
+    w = _remote_cycles(sc, beta)[act]
+    base = (_t_local(sc, beta, f_local) + t_transmit)[act]
+    # Newton on 1/sum(w/(delta + gap)) = 1/F for the offset delta of the common
+    # completion time above the latest start, which an abundant capacity cannot
+    # round away. The left side is concave and increasing, so the iterates rise
+    # monotonically from the single-device bound (exactly, if all gaps are 0).
+    top = float(base.max())
+    gap = top - base
+    delta = float(np.max(w / sc.F - gap))
+    for _ in range(_MAX_ITERS):
+        f = w / (delta + gap)
+        total = float(f.sum())
+        step = total * (total - sc.F) / (sc.F * float(np.sum(f * f / w)))
+        if not step > min(cfg.eps_bisect_capacity, delta * _ULPS):
             break
-        t_mid = 0.5 * (t_min + t_max)
-        den = t_mid - base_act
-        if np.any(den <= 1e-15 * t_mid):
-            t_min = t_mid  # degenerate probe, not an infinite capacity demand
-            continue
-        if float(np.sum(w_act / den)) - sc.F < 0:
-            t_max = t_mid
-        else:
-            t_min = t_mid
-
-    f_remote[act] = w_act / (t_max - base_act)
-    total = float(f_remote.sum())
-    if total > sc.F:
-        f_remote *= sc.F / total
-    return t_max, f_remote
+        delta += step
+    # finish on the side where the shares fit in the capacity
+    nudge = _ULPS
+    for _ in range(_MAX_NUDGES):
+        f_remote[act] = w / (delta + gap)
+        if f_remote.sum() <= sc.F:
+            break
+        delta *= 1.0 + nudge
+        nudge *= 2.0
+    return top + delta, f_remote
 
 
 def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit,
@@ -324,77 +329,77 @@ def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit,
     return np.where(act, beta, 1.0)
 
 
-def _transmit_feasible(sc: _Scenario, beta: np.ndarray, ext_coeff: np.ndarray) -> np.ndarray:
+def _uplink_margin(sc: _Scenario, ext_coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # energy left after the cheapest uplink at the factor exp(x); >= 0 iff the
+    # uplink fits, at peak power or within 1e-12 of the saturated bound
+    beta = np.exp(x)
     e_budget = sc.E - ext_coeff * beta**-sc.k
-    t_power = beta * sc.A / sc.r_full
-    power_ok = sc.p_max * t_power <= e_budget
-    saturation_ok = (e_budget > 0) & (
-        beta * sc.A < sc.B * sc.h * e_budget / (sc.sigma2 * _LN2) * (1.0 - 1e-12)
-    )
-    return np.where(sc.active, power_ok | saturation_ok, True)
+    bits = beta * sc.A
+    return np.maximum(e_budget - sc.p_max * bits / sc.r_full,
+                      e_budget * (1.0 - 1e-12) - bits * sc.sigma2 * _LN2 / (sc.B * sc.h))
 
 
-def _t_energy_limited(sc: _Scenario, bits, e_budget, t_power, lanes) -> np.ndarray:
-    # solves t*B*log2(1 + h*e_budget/(t*sigma^2)) = bits above the power-limited time
-    lb = np.where(lanes, t_power, 0.0)
-    ub = np.where(lanes, np.maximum(t_power, 1e-300), 1.0)
+def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray, fb: np.ndarray,
+              lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink each bracket with f(xa) < 0 <= f(xb) on ``lanes`` to a few ulps.
 
-    def satisfied(t: np.ndarray) -> np.ndarray:
-        safe_t = np.maximum(t, 1e-300)
-        lhs = t * sc.B * np.log2(1.0 + sc.h * e_budget / (safe_t * sc.sigma2))
-        return lhs >= bits
-
-    growing = lanes & ~satisfied(ub)
-    for _ in range(_MAX_DOUBLINGS + 1):
-        if not np.any(growing):
-            break
-        ub = np.where(growing, 2.0 * ub, ub)
-        growing = growing & ~satisfied(ub)
-    for _ in range(_MAX_BISECT_ITERS):
-        open_lanes = lanes & (ub - lb > np.maximum(ub * _REL_FLOOR, 1e-300))
+    Illinois false position (the value kept at an end surviving twice is
+    halved), with each probe held ``tol`` inside the bracket so that it also
+    closes from the far end, and a midpoint probe wherever the last three
+    probes did not halve the bracket; ``f`` maps all lanes at once.
+    """
+    side = np.zeros(xa.shape)
+    tol = _ULPS * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
+    w1 = w2 = w3 = np.full(xa.shape, np.inf)  # bracket widths 1-3 probes back
+    for _ in range(_MAX_ITERS):
+        w0 = np.abs(xb - xa)
+        open_lanes = lanes & (w0 > 2.0 * tol)
         if not np.any(open_lanes):
             break
-        mid = 0.5 * (lb + ub)
-        ok = satisfied(mid)
-        ub = np.where(open_lanes & ok, mid, ub)
-        lb = np.where(open_lanes & ~ok, mid, lb)
-    return ub
+        xc = xb - fb * (xb - xa) / np.where(fb != fa, fb - fa, 1.0)
+        secant = ((xc - xa) * (xc - xb) < 0) & (w0 <= 0.5 * w3)
+        xc = np.where(secant, xc, 0.5 * (xa + xb))
+        w3, w2, w1 = w2, w1, w0
+        xc = np.clip(xc, np.minimum(xa, xb) + tol, np.maximum(xa, xb) - tol)
+        xc = np.where(open_lanes, xc, xb)
+        fc = f(xc)
+        to_b = open_lanes & (fc >= 0)
+        to_a = open_lanes & (fc <= 0)  # an exact zero closes the bracket
+        fa = np.where(to_b & (side < 0), 0.5 * fa, np.where(to_a, fc, fa))
+        fb = np.where(to_a & (side > 0), 0.5 * fb, np.where(to_b, fc, fb))
+        xa = np.where(to_a, xc, xa)
+        xb = np.where(to_b, xc, xb)
+        side = np.where(to_b, -1.0, np.where(to_a, 1.0, side))
+    return xa, xb
 
 
-def _refine_block(sc: _Scenario, beta, f_local, f_remote,
-                  cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refine_block(sc: _Scenario, beta, f_local,
+                  f_remote) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-device exact minimization over the extraction factor.
 
     Minimizes extraction delay + minimal uplink time + remote delay, which
     is convex in the log of the factor (partial minimization of the jointly
-    convex subproblem), by bisecting the sign of its derivative. The uplink
-    pair is refreshed at the chosen factor.
+    convex subproblem), by a bracketed root search on its derivative. The
+    uplink pair is refreshed at the chosen factor.
     """
     act = sc.active
     ext_coeff = np.where(act, sc.a * sc.A * sc.kappa * f_local**2, 0.0)
     b_cur = np.where(act, beta, 1.0)
+    margin = partial(_uplink_margin, sc, ext_coeff)
 
-    def locate_boundary(outer: np.ndarray, need: np.ndarray) -> np.ndarray:
-        # bisects between an infeasible outer point and the feasible current one
-        xa = np.log(outer)
-        xb = np.log(b_cur)
-        for _ in range(64):
-            xm = 0.5 * (xa + xb)
-            ok = _transmit_feasible(sc, np.exp(xm), ext_coeff)
-            xb = np.where(need & ok, xm, xb)
-            xa = np.where(need & ~ok, xm, xa)
-        return np.exp(xb)
+    def feasible_end(outer: np.ndarray) -> np.ndarray:
+        # the feasible factors form an interval around the current one
+        x_out = np.log(outer)
+        m_out = margin(x_out)
+        need = act & (m_out < 0)
+        if not np.any(need):
+            return outer
+        x_cur = np.log(b_cur)
+        _, xb = _illinois(margin, x_out, m_out, x_cur, margin(x_cur), need)
+        return np.where(need, np.exp(xb), outer)
 
-    lo = sc.beta_min.copy()
-    need_lo = act & ~_transmit_feasible(sc, lo, ext_coeff)
-    if np.any(need_lo):
-        lo = np.where(need_lo, locate_boundary(sc.beta_min, need_lo), lo)
-    hi = np.ones(sc.n)
-    need_hi = act & ~_transmit_feasible(sc, hi, ext_coeff)
-    if np.any(need_hi):
-        hi = np.where(need_hi, locate_boundary(np.ones(sc.n), need_hi), hi)
-    lo = np.minimum(lo, b_cur)
-    hi = np.maximum(hi, b_cur)
+    lo = np.minimum(feasible_end(sc.beta_min), b_cur)
+    hi = np.maximum(feasible_end(np.ones(sc.n)), b_cur)
 
     def slope(b: np.ndarray) -> np.ndarray:
         t_local = sc.a * sc.A / (np.maximum(f_local, 1e-300) * b**sc.k)
@@ -406,8 +411,9 @@ def _refine_block(sc: _Scenario, beta, f_local, f_remote,
         d_uplink = np.where(power_limited, t_power, 0.0)
         lanes = act & ~power_limited
         if np.any(lanes):
-            t_el = _t_energy_limited(sc, bits, e_budget, t_power, lanes)
-            q = sc.h * e_budget / (np.maximum(t_el, 1e-300) * sc.sigma2)
+            t_el = np.ones(sc.n)
+            t_el[lanes] = _t_energy_limited(sc, bits, e_budget, t_power, lanes)
+            q = sc.h * e_budget / (t_el * sc.sigma2)
             dF_dt = (sc.B / _LN2) * (np.log1p(q) - q / (1.0 + q))
             de_db = sc.k * ext_coeff * b ** (-sc.k - 1.0)
             dF_db = (sc.B / _LN2) * sc.h * de_db / (sc.sigma2 * (1.0 + q)) - sc.A
@@ -420,28 +426,18 @@ def _refine_block(sc: _Scenario, beta, f_local, f_remote,
     at_lo = act & (slope_lo >= 0)
     at_hi = act & ~at_lo & (slope_hi <= 0)
     interior = act & ~at_lo & ~at_hi
-    x_star = np.log(np.where(interior, b_cur, 1.0))
-    if np.any(interior):
-        xa = np.log(lo)
-        xb = np.log(hi)
-        for _ in range(70):
-            xm = 0.5 * (xa + xb)
-            positive = slope(np.exp(xm)) > 0
-            xb = np.where(interior & positive, xm, xb)
-            xa = np.where(interior & ~positive, xm, xa)
-        x_star = 0.5 * (xa + xb)
-    candidate = np.where(at_lo, lo, np.where(at_hi, hi, np.exp(x_star)))
+    xa, xb = _illinois(lambda x: slope(np.exp(x)), np.log(lo), slope_lo,
+                       np.log(hi), slope_hi, interior)
+    candidate = np.where(interior, np.exp(0.5 * (xa + xb)), np.where(at_lo, lo, hi))
     candidate = np.clip(candidate, lo, hi)
 
-    # pick the best of {lower end, candidate, upper end} with a fresh uplink
+    # pick the best of {upper end, candidate, lower end} with a fresh uplink
     # solve each, so boundary optima are hit exactly
-    best_beta = np.where(act, hi, 1.0)
-    best_t, best_e = _transmit_block(sc, best_beta, f_local, cfg)
-    t_loc = _t_local(sc, best_beta, f_local)
-    best_val = t_loc + best_t + np.where(act, _remote_cycles(sc, best_beta) / np.maximum(f_remote, 1e-300), 0.0)
-    for trial in (candidate, lo):
+    best_beta, best_t, best_e = np.ones(sc.n), np.zeros(sc.n), np.zeros(sc.n)
+    best_val = np.full(sc.n, np.inf)
+    for trial in (hi, candidate, lo):
         trial_beta = np.where(act, trial, 1.0)
-        t_t, e_t = _transmit_block(sc, trial_beta, f_local, cfg)
+        t_t, e_t = _transmit_block(sc, trial_beta, f_local)
         val = (_t_local(sc, trial_beta, f_local) + t_t
                + np.where(act, _remote_cycles(sc, trial_beta) / np.maximum(f_remote, 1e-300), 0.0))
         better = act & (val < best_val)
@@ -479,14 +475,17 @@ def transmit_bisection(td: TerminalDevice, beta: float, f_local: float,
 
     The energy spent is the largest permissible at that time (the cap from
     the leftover budget or from peak power), since the minimal time meets
-    the rate requirement only at maximal energy.
+    the rate requirement only at maximal energy. When the budget binds, the
+    time is the Lambert-W root of the perspective rate equation, found by
+    monotone Newton steps and returned where the float rate condition holds;
+    the name predates this exact solve, which always meets ``eps_bisect_transmit``.
     """
     if not 0 < beta <= 1:
         raise ValueError("beta must lie in (0, 1]")
     if f_local <= 0:
         raise ValueError("f_local must be positive")
     sc = _Scenario([td], _single_cfg(cfg))
-    t, e = _transmit_block(sc, np.array([beta]), np.array([f_local]), cfg)
+    t, e = _transmit_block(sc, np.array([beta]), np.array([f_local]))
     return float(t[0]), float(e[0])
 
 
@@ -495,10 +494,10 @@ def remote_rate_bisection(tds: Sequence[TerminalDevice], beta: Sequence[float],
                           cfg: SystemConfig) -> tuple[float, np.ndarray]:
     """Delay cap and server split that finish every active device together.
 
-    Bisects the common completion time between the single-device and the
-    evenly-split bounds; at the returned cap the per-device rates sum to the
-    server capacity (within the bisection tolerance) and each active device
-    meets the cap with equality.
+    Monotone Newton steps on the common completion time run from the
+    single-device bound to within ``eps_bisect_capacity`` (or relative
+    machine precision) of the root, and stop where the per-device rates fit
+    in the server capacity; each active device meets the cap with equality.
     """
     sc = _Scenario(tds, cfg)
     return _remote_block(sc, np.asarray(beta, dtype=float), np.asarray(f_local, dtype=float),
@@ -573,7 +572,7 @@ def _solve_core(tds: Sequence[TerminalDevice], cfg: SystemConfig, *,
     else:
         beta = np.ones(sc.n)
         f_local = _initial_local_rate(sc) if extraction else sc.f_max.copy()
-        t_transmit, e_transmit = _transmit_block(sc, beta, f_local, cfg)
+        t_transmit, e_transmit = _transmit_block(sc, beta, f_local)
 
     _, f_remote = _remote_block(sc, beta, f_local, t_transmit, cfg)
     trace = [_objective(sc, beta, f_local, t_transmit, f_remote)]
@@ -581,11 +580,11 @@ def _solve_core(tds: Sequence[TerminalDevice], cfg: SystemConfig, *,
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_outer_iters + 1):
-        t_transmit, e_transmit = _transmit_block(sc, beta, f_local, cfg)
+        t_transmit, e_transmit = _transmit_block(sc, beta, f_local)
         if not freeze_beta:
             beta = _beta_closed_form(sc, f_local, f_remote, t_transmit, e_transmit,
                                      fallback_beta=beta)
-            beta, t_transmit, e_transmit = _refine_block(sc, beta, f_local, f_remote, cfg)
+            beta, t_transmit, e_transmit = _refine_block(sc, beta, f_local, f_remote)
         if extraction:
             f_local = _local_rate_block(sc, beta, e_transmit)
         _, f_remote = _remote_block(sc, beta, f_local, t_transmit, cfg)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +46,25 @@ class TestValidation:
             SystemConfig(n_devices=1, eps_outer=0.0)
         with pytest.raises(ValueError):
             SystemConfig(n_devices=0)
+
+    @pytest.mark.parametrize("name", ["task_bits", "intensity", "energy_coeff", "f_local_max",
+                                      "p_tx_max", "beta_min", "energy_budget", "channel_gain",
+                                      "distance", "sem_a", "sem_k", "sem_p"])
+    def test_device_fields_must_be_finite(self, name):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                make_device(**{name: value})
+
+    @pytest.mark.parametrize("name", ["n_devices", "bandwidth_hz", "noise_psd_dbm_hz",
+                                      "f_mec_total", "sem_a", "sem_k", "sem_p",
+                                      "eps_bisect_capacity", "eps_bisect_transmit",
+                                      "eps_outer", "max_outer_iters"])
+    def test_config_fields_must_be_finite(self, name):
+        fields = {"n_devices": 1, name: None}
+        for value in (math.inf, -math.inf, math.nan):
+            fields[name] = value
+            with pytest.raises(ValueError, match=name):
+                SystemConfig(**fields)
 
 
 class TestExtractionWorkload:

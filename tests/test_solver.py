@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bisection_oracles import bits_carried, server_split_bisection, uplink_time_bisection
 from conftest import multi_device_draw, single_device_draw
 from semec import (
     FeasibilityCause,
@@ -181,6 +184,77 @@ class TestRemoteRateBisection:
                 assert delay == pytest.approx(t, rel=1e-9)
 
 
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def uplink_draws(draw) -> TerminalDevice:
+    """A device with log-uniform gain, budget and peak power.
+
+    The task size sets c = A*sigma^2*ln2/(h*E*B), the share of the
+    saturated energy-limited capacity it needs, log-uniformly over
+    [1e-9, 0.5] (c << 1) or with 1 - c log-uniform over [1e-3, 0.5] (near
+    saturation). Small c at low peak power leaves the uplink power-limited.
+    The extraction energy is negligible, so the uplink has the whole budget.
+    """
+    h = draw(_log_uniform(1e-13, 1e-7))
+    energy = draw(_log_uniform(1e-3, 10.0))
+    c = draw(st.one_of(_log_uniform(1e-9, 0.5), _log_uniform(1e-3, 0.5).map(lambda g: 1.0 - g)))
+    bits = c * h * energy * CFG.bandwidth_hz / (CFG.noise_power_w * math.log(2.0))
+    return make_device(task_bits=bits, energy_budget=energy, channel_gain=h,
+                       p_tx_max=draw(_log_uniform(1e-2, 10.0)), energy_coeff=1e-40)
+
+
+@st.composite
+def split_draws(draw):
+    """Devices with log-uniform task, intensity and uplink time, and a
+    log-uniform server capacity from scarce to 1e30 cycles/s."""
+    n = draw(st.integers(1, 12))
+    tds = [make_device(task_bits=draw(_log_uniform(1e3, 1e8)),
+                       intensity=draw(_log_uniform(1.0, 1e4))) for _ in range(n)]
+    t_transmit = [draw(_log_uniform(1e-4, 10.0)) for _ in range(n)]
+    cfg = SystemConfig(n_devices=n, f_mec_total=draw(_log_uniform(1e6, 1e30)))
+    return tds, t_transmit, cfg
+
+
+class TestBlockOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(uplink_draws())
+    def test_uplink_time_matches_bisection(self, td):
+        t, e = transmit_bisection(td, 1.0, 1.0, CFG)
+        h, p_max, bits = td.channel_gain, td.p_tx_max, td.task_bits
+        e_budget = td.energy_budget - CFG.sem_a * bits * td.energy_coeff
+        oracle = uplink_time_bisection(bits, e_budget, h, p_max,
+                                       CFG.bandwidth_hz, CFG.noise_power_w)
+        assert abs(t - oracle) <= 1e-12 * oracle
+        if p_max * t > e_budget:
+            # energy-limited: the minimal time under the solver's float predicate
+            assert e == e_budget
+            assert bits_carried(t, e, h, CFG.bandwidth_hz, CFG.noise_power_w) >= bits
+            assert bits_carried(t * (1 - 1e-9), e, h, CFG.bandwidth_hz,
+                                CFG.noise_power_w) < bits
+        else:
+            assert e == p_max * t
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_draws())
+    def test_server_split_fits_and_is_tight(self, draw):
+        tds, t_transmit, cfg = draw
+        n = len(tds)
+        t_cap, f_remote = remote_rate_bisection(tds, [1.0] * n, [1e9] * n, t_transmit, cfg)
+        w = np.array([td.task_bits * td.intensity for td in tds])
+        base = np.array([cfg.sem_a * td.task_bits / 1e9 for td in tds]) + t_transmit
+        assert np.all(np.isfinite(f_remote)) and np.all(f_remote > 0)
+        assert cfg.f_mec_total * (1 - 1e-12) <= f_remote.sum() <= cfg.f_mec_total
+        assert np.max(np.abs(t_cap - (base + w / f_remote))) <= cfg.eps_bisect_capacity
+        try:
+            oracle, _ = server_split_bisection(w, base, cfg.f_mec_total, cfg.eps_bisect_capacity)
+        except ValueError:
+            return  # the capacity is too abundant for the bisection's bracket
+        assert abs(t_cap - oracle) <= 1e-12 * oracle
+
+
 class TestOptimalBeta:
     def test_reference_constants_take_upper_end(self):
         # k=4, p=3 >= 1: the delay decreases in the factor, so the
@@ -348,6 +422,30 @@ class TestSolve:
         half = tuple(replace(td, task_bits=0.5 * td.task_bits) for td in reference.devices)
         halved = solve(half, reference.system).objective_trace[-1]
         assert halved == pytest.approx(0.5 * base, rel=1e-9)
+
+    def test_abundant_server_capacity(self, reference):
+        # the shares' delay w/F is far below one ulp of the uplink time here
+        cfg = replace(reference.system, f_mec_total=1e30)
+        report = solve(reference.devices, cfg)
+        alloc = report.allocation
+        assert report.converged
+        assert np.all(np.isfinite(alloc.f_remote)) and np.all(alloc.f_remote > 0)
+        assert alloc.f_remote.sum() <= cfg.f_mec_total
+        assert np.isfinite(report.objective_trace[-1])
+        assert np.all(np.diff(report.objective_trace) <= 1e-12)
+
+    def test_factor_floor_at_uplink_saturation(self):
+        # the feasible factors end where the energy-capped uplink saturates,
+        # and the delay's slope in log(beta) there exceeds 1e25 in magnitude;
+        # the refine must still locate the interior optimum
+        td = make_device(task_bits=4299162.987337417, intensity=155.4868308842392,
+                         energy_coeff=1.8109532477482195e-26, f_local_max=1869637485.5035536,
+                         p_tx_max=0.6947498036033956, beta_min=0.06782733141738045,
+                         energy_budget=0.026327078137637728, channel_gain=5.3298188604486745e-11)
+        cfg = SystemConfig(n_devices=1, f_mec_total=2e9, sem_a=2.682305565772427e-05,
+                           sem_k=4.061595157141169, sem_p=1.0)
+        trace = solve([td], cfg).objective_trace
+        assert np.all(np.diff(trace) <= 1e-12)
 
     def test_infeasible_scenario_raises(self):
         # upload can never fit: microscopic gain and energy, huge task
