@@ -24,7 +24,6 @@ __all__ = [
     "DelayBreakdown",
     "EnergyBreakdown",
     "noise_power_watts",
-    "path_loss_db",
     "generate_channel_gains",
     "semantic_constants",
     "extraction_workload",
@@ -197,12 +196,6 @@ def noise_power_watts(noise_psd_dbm_hz: float, bandwidth_hz: float) -> float:
     _require(bandwidth_hz > 0, "bandwidth_hz must be positive")
     dbm = noise_psd_dbm_hz + 10.0 * math.log10(bandwidth_hz)
     return 10.0 ** ((dbm - _DBM_PER_WATT) / 10.0)
-
-
-def path_loss_db(distance_m: float) -> float:
-    """Macro-cell path loss in dB at ``distance_m`` meters."""
-    _require(distance_m > 0, "distance must be positive")
-    return 128.1 + 37.6 * math.log10(distance_m / 1000.0)
 
 
 def generate_channel_gains(

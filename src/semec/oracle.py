@@ -4,6 +4,11 @@ Two instruments: an exhaustive grid search over the raw decision variables
 for one- and two-device instances, and a random feasible-perturbation check
 that certifies first-order optimality of a given allocation. Both evaluate
 constraints from the raw closed forms, never through solver shortcuts.
+
+The perturbation check gathers the device parameters into arrays once and
+evaluates its probes in blocks of bounded size; it stops after the first
+block that holds a feasible improving probe, which gives the same answer as
+checking the probes one by one and stopping at the first improving one.
 """
 
 from __future__ import annotations
@@ -189,69 +194,108 @@ def grid_optimum(tds: Sequence[TerminalDevice], cfg: SystemConfig,
     return objective, alloc
 
 
-def _feasible(alloc_vectors, tds: Sequence[TerminalDevice], cfg: SystemConfig,
-              tol: float) -> bool:
-    beta, f_local, f_remote, t_transmit, e_transmit = alloc_vectors
-    sigma2 = cfg.noise_power_w
-    total_remote = 0.0
-    for i, td in enumerate(tds):
-        a, k, _ = semantic_constants(td, cfg)
-        if not (td.beta_min * (1 - tol) <= beta[i] <= 1 + tol):
-            return False
-        if f_local[i] <= 0 or f_local[i] > td.f_local_max * (1 + tol):
-            return False
-        if e_transmit[i] < -tol or t_transmit[i] < -tol:
-            return False
-        if e_transmit[i] > td.p_tx_max * t_transmit[i] * (1 + tol) + 1e-300:
-            return False
-        total_remote += f_remote[i]
-        if td.task_bits == 0:
-            continue
-        e_extract = a * td.task_bits * td.energy_coeff * f_local[i]**2 / beta[i]**k
-        if e_extract + e_transmit[i] > td.energy_budget * (1 + tol):
-            return False
-        bits = beta[i] * td.task_bits
-        if t_transmit[i] <= 0:
-            return False
-        cap = t_transmit[i] * cfg.bandwidth_hz * math.log2(
-            1.0 + td.channel_gain * e_transmit[i] / (t_transmit[i] * sigma2))
-        if cap < bits * (1 - tol):
-            return False
-    return total_remote <= cfg.f_mec_total * (1 + tol)
+_BASE_TOL = 1e-9  # the allocation under test
+_PROBE_TOL = 1e-12  # each perturbed probe
+_BLOCK_ENTRIES = 2**14  # probe entries per block: 128 KB per float64 temporary
+_STRUCTURED_DEVICES = 32  # devices that get their own structured direction pair
+_UPLINK_AXES = (0, 3, 4)  # beta, t_transmit, e_transmit in a (5, n) probe
 
 
-def _max_delay(alloc_vectors, tds: Sequence[TerminalDevice], cfg: SystemConfig) -> float:
-    beta, f_local, f_remote, t_transmit, _ = alloc_vectors
-    worst = 0.0
-    for i, td in enumerate(tds):
-        if td.task_bits == 0:
-            continue
-        a, k, p = semantic_constants(td, cfg)
-        t_local = a * td.task_bits / (beta[i]**k * f_local[i])
-        t_remote = td.task_bits * td.intensity * beta[i] ** (1.0 - p) / f_remote[i]
-        worst = max(worst, t_local + t_transmit[i] + t_remote)
-    return worst
+class _DeviceArrays:
+    """Device parameters as arrays, gathered once per certificate.
+
+    Probes are stacked as ``(rows, 5, n)`` in the order (beta, f_local,
+    f_remote, t_transmit, e_transmit). Devices without task bits enter the
+    box, power and capacity checks only.
+    """
+
+    def __init__(self, tds: Sequence[TerminalDevice], cfg: SystemConfig) -> None:
+        n = len(tds)
+
+        def column(name: str) -> np.ndarray:
+            return np.fromiter((getattr(td, name) for td in tds), float, n)
+
+        a, k, p = np.array([semantic_constants(td, cfg) for td in tds], float).reshape(n, 3).T
+        bits = column("task_bits")
+        self.n = n
+        self.beta_min = column("beta_min")
+        self.f_local_max = column("f_local_max")
+        self.p_tx_max = column("p_tx_max")
+        self.work = np.flatnonzero(bits != 0)
+        w = self.work
+        self.task_bits = bits[w]
+        self.extract_cycles = a[w] * bits[w]
+        self.extract_coeff = self.extract_cycles * column("energy_coeff")[w]
+        self.server_cycles = bits[w] * column("intensity")[w]
+        self.k = k[w]
+        self.q = 1.0 - p[w]
+        self.energy_budget = column("energy_budget")[w]
+        self.channel_gain = column("channel_gain")[w]
+        self.f_mec_total = cfg.f_mec_total
+        self.bandwidth_hz = cfg.bandwidth_hz
+        self.noise_power_w = cfg.noise_power_w
+
+    def feasible(self, x: np.ndarray, tol: float) -> np.ndarray:
+        """Which probe rows satisfy every constraint, to relative ``tol``.
+
+        The box, power and capacity checks run on all rows; the energy and
+        rate checks only on the rows that pass them.
+        """
+        beta, f_local, f_remote, t, e = x.transpose(1, 0, 2)
+        ok = np.all((self.beta_min * (1 - tol) <= beta) & (beta <= 1 + tol)
+                    & (f_local > 0) & (f_local <= self.f_local_max * (1 + tol))
+                    & (e >= -tol) & (t >= -tol)
+                    & (e <= self.p_tx_max * t * (1 + tol) + 1e-300), axis=1)
+        if self.n:
+            # summed in device order, so it rounds as a running sum over the devices
+            ok &= np.add.accumulate(f_remote, axis=1)[:, -1] <= self.f_mec_total * (1 + tol)
+        rows = np.flatnonzero(ok)
+        if rows.size == 0 or self.work.size == 0:
+            return ok
+        beta, f_local, _, t, e = x[rows][:, :, self.work].transpose(1, 0, 2)
+        e_extract = self.extract_coeff * f_local**2 / beta**self.k
+        holds = e_extract + e <= self.energy_budget * (1 + tol)
+        sends = t > 0
+        t = np.where(sends, t, 1.0)
+        snr = 1.0 + self.channel_gain * e / (t * self.noise_power_w)
+        cap = t * self.bandwidth_hz * np.log2(snr, out=np.full_like(snr, -np.inf),
+                                              where=snr > 0)
+        holds &= sends & (cap >= beta * self.task_bits * (1 - tol))
+        ok[rows] = np.all(holds, axis=1)
+        return ok
+
+    def max_delay(self, x: np.ndarray) -> np.ndarray:
+        """Worst per-device delay of each probe row, over devices with work."""
+        beta, f_local, f_remote, t, _ = x[:, :, self.work].transpose(1, 0, 2)
+        delay = (self.extract_cycles / (beta**self.k * f_local) + t
+                 + self.server_cycles * beta**self.q / f_remote)
+        return delay.max(axis=1, initial=0.0)
 
 
-def _structured_directions(n: int) -> list[np.ndarray]:
-    """Directions aligned with the tight-constraint structure of optima.
+def _directions(start: int, stop: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit probe directions ``start`` to ``stop - 1``, shaped ``(rows, 5, n)``.
 
-    The deliverable-bits constraint is 1-homogeneous in (time, energy), so
+    The structured family comes first: plus and minus the joint (beta,
+    t_transmit, e_transmit) direction over all devices, then plus and minus
+    that direction on each of the first 32 devices alone. The
+    deliverable-bits constraint is 1-homogeneous in (time, energy), so
     scaling the factor and the uplink pair together walks exactly along a
     tight rate constraint; these directions expose suboptimal points whose
-    improving cone is too narrow for isotropic sampling to hit.
+    improving cone is too narrow for isotropic sampling to hit. Isotropic
+    Gaussian draws from ``rng`` follow.
     """
-    directions = []
-    comm = np.zeros((5, n))
-    comm[0] = comm[3] = comm[4] = 1.0  # beta, t_transmit, e_transmit together
-    directions.append(comm.ravel())
-    directions.append(-comm.ravel())
-    for i in range(min(n, 32)):
-        single = np.zeros((5, n))
-        single[0, i] = single[3, i] = single[4, i] = 1.0
-        directions.append(single.ravel())
-        directions.append(-single.ravel())
-    return directions
+    n_structured = 2 + 2 * min(n, _STRUCTURED_DEVICES)
+    z = np.zeros((stop - start, 5, n))
+    for row, index in enumerate(range(start, min(stop, n_structured))):
+        devices = slice(None) if index < 2 else (index - 2) // 2
+        z[row, _UPLINK_AXES, devices] = 1.0 if index % 2 == 0 else -1.0
+    drawn = stop - max(start, n_structured)
+    if drawn > 0:
+        z[-drawn:] = rng.standard_normal((drawn, 5 * n)).reshape(drawn, 5, n)
+    # one dot product per row, the rounding of np.linalg.norm on a vector
+    norms = np.sqrt([row.dot(row) for row in z.reshape(len(z), -1)])
+    z /= (norms + 1e-300)[:, None, None]
+    return z
 
 
 def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
@@ -261,33 +305,43 @@ def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
 
     Moves the allocation by ``step`` along unit directions over the
     log-domain decision coordinates (a structured family first, isotropic
-    draws after), discards infeasible probes, and reports False as soon as
-    one feasible probe improves the objective by more than the second-order
-    allowance step^2 * objective. For a convex problem this certifies
-    (approximate) optimality.
+    draws from ``default_rng(seed)`` after), discards infeasible probes, and
+    reports False if a feasible probe improves the objective by more than
+    the second-order allowance step^2 * objective. For a convex problem
+    this certifies (approximate) optimality.
+
+    Probes are checked in blocks of at most 2**14 / (5n) rows (at least
+    one), so memory stays bounded whatever ``n_probes`` is, and the search
+    stops after the first block holding an improving probe. The result is
+    the one a probe-by-probe loop with early exit gives.
+
+    Raises ValueError for a nonpositive ``step``, and for an allocation that
+    does not match the devices in length, holds a non-finite entry, leaves a
+    device with work without server share, or violates a constraint by more
+    than a relative 1e-9.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     n = len(tds)
-    base_vectors = (alloc.beta.copy(), alloc.f_local.copy(), alloc.f_remote.copy(),
-                    alloc.t_transmit.copy(), alloc.e_transmit.copy())
-    if not _feasible(base_vectors, tds, cfg, tol=1e-9):
+    if alloc.n_devices != n:
+        raise ValueError("allocation and devices must have the same length")
+    devices = _DeviceArrays(tds, cfg)
+    base = np.stack([alloc.beta, alloc.f_local, alloc.f_remote, alloc.t_transmit,
+                     alloc.e_transmit])
+    if not (np.all(np.isfinite(base)) and np.all(base[2, devices.work] > 0)
+            and devices.feasible(base[None], _BASE_TOL)[0]):
         raise ValueError("allocation must be feasible before certification")
-    base = _max_delay(base_vectors, tds, cfg)
-    allowance = step * step * max(base, 1e-300)
+    worst = devices.max_delay(base[None])[0]
+    allowance = step * step * max(worst, 1e-300)
 
     rng = np.random.default_rng(seed)
-    structured = _structured_directions(n)
-    for probe_index in range(n_probes):
-        if probe_index < len(structured):
-            z = structured[probe_index]
-        else:
-            z = rng.standard_normal(5 * n)
-        z = z / (np.linalg.norm(z) + 1e-300)
-        shift = np.exp(step * z.reshape(5, n))
-        probe = tuple(v * s for v, s in zip(base_vectors, shift))
-        if not _feasible(probe, tds, cfg, tol=1e-12):
-            continue
-        if base - _max_delay(probe, tds, cfg) > allowance:
+    rows = max(1, _BLOCK_ENTRIES // (5 * max(n, 1)))
+    for start in range(0, n_probes, rows):
+        probes = _directions(start, min(start + rows, n_probes), n, rng)
+        probes *= step
+        np.exp(probes, out=probes)
+        probes *= base
+        improved = worst - devices.max_delay(probes[devices.feasible(probes, _PROBE_TOL)])
+        if np.any(improved > allowance):
             return False
     return True

@@ -6,8 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from semec import SystemConfig, TerminalDevice, generate_channel_gains, reference_scenario
+
+
+def log_uniform(lo: float, hi: float):
+    """A hypothesis strategy for floats spread evenly in log10 over [lo, hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 
 
 def single_device_draw(rng: np.random.Generator) -> tuple[TerminalDevice, SystemConfig]:

@@ -1,7 +1,13 @@
+import re
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import single_device_draw
+from certify_oracle import perturbation_certify_loop, probe_directions
+from conftest import log_uniform, multi_device_draw, single_device_draw
 from semec import (
     FeasibilityError,
     GridSpec,
@@ -14,6 +20,7 @@ from semec import (
     solve_no_semantic,
     transmit_bisection,
 )
+from semec.oracle import _directions
 
 
 def make_device(**overrides) -> TerminalDevice:
@@ -145,3 +152,93 @@ class TestPerturbationCertify:
         bad = Allocation([1e9], [2 * cfg.f_mec_total], [0.1], [0.1], [0.8], 1.0)
         with pytest.raises(ValueError):
             perturbation_certify(bad, reference_single.devices, cfg, n_probes=10, step=1e-3)
+
+    def test_large_n_few_probes_memory(self):
+        # the probes are built and checked in bounded blocks, so two probes at
+        # n = 20000 stay far below one dense (5n) direction per device
+        n = 20_000
+        devices, cfg = multi_device_draw(np.random.default_rng(11), n)
+        report = solve(devices, cfg)
+        tracemalloc.start()
+        try:
+            assert perturbation_certify(report.allocation, devices, cfg, n_probes=2, step=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("malform", ["length", "nan", "no_server_share"])
+    def test_malformed_allocation_rejected(self, reference_single, malform):
+        devices, cfg = reference_single.devices, reference_single.system
+        alloc = solve(devices, cfg).allocation
+        if malform == "length":
+            devices = devices * 2
+        elif malform == "nan":
+            alloc = replace(alloc, f_local=np.array([np.nan]))
+        else:
+            alloc = replace(alloc, f_remote=np.array([0.0]))
+        with pytest.raises(ValueError):
+            perturbation_certify(alloc, devices, cfg, n_probes=10, step=1e-3)
+
+
+_VARIANTS = {
+    "solved": lambda alloc: alloc,
+    "f_remote": lambda alloc: replace(alloc, f_remote=alloc.f_remote * 0.99),
+    "beta": lambda alloc: replace(alloc, beta=alloc.beta * 1.02),
+    "t_transmit": lambda alloc: replace(alloc, t_transmit=alloc.t_transmit * 1.02),
+}
+
+
+@st.composite
+def certify_draws(draw):
+    """A solved multi-device scenario and an allocation derived from its optimum.
+
+    Devices come from ``multi_device_draw`` with a drawn seed. Some lose
+    their task or get their own ``sem_p``/``sem_k``. A drawn common energy
+    budget makes most uplinks energy-limited; without one the uplinks keep
+    the power-limited budgets of ``multi_device_draw``. The allocation is
+    the solver's output or a suboptimal
+    (``f_remote`` x 0.99, ``t_transmit`` x 1.02) or infeasible
+    (``beta`` x 1.02) perturbation of it.
+    """
+    n = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    devices, cfg = multi_device_draw(rng, n, sem_p=draw(st.sampled_from([1.5, 2.0, 3.0])))
+    budget = draw(st.one_of(st.none(), log_uniform(0.03, 0.3)))
+    idle_share = draw(st.sampled_from([0.0, 0.2]))
+    own_share = draw(st.sampled_from([0.0, 0.3]))
+    drawn = []
+    for td in devices:
+        if budget is not None:
+            td = replace(td, energy_budget=budget)
+        if rng.random() < own_share:
+            td = replace(td, sem_p=float(rng.uniform(1.0, 3.5)), sem_k=float(rng.uniform(2.0, 5.0)))
+        if rng.random() < idle_share:
+            td = replace(td, task_bits=0.0)
+        drawn.append(td)
+    if all(td.task_bits == 0 for td in drawn):
+        drawn[0] = devices[0]  # keep one device with work to optimise
+    alloc = _VARIANTS[draw(st.sampled_from(sorted(_VARIANTS)))](solve(drawn, cfg).allocation)
+    return alloc, drawn, cfg, draw(st.sampled_from([2, 40, 200])), draw(st.integers(0, 2**16))
+
+
+class TestCertifyMatchesLoop:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 300])
+    def test_same_probe_directions(self, n):
+        # blocks of 7 rows cut the structured family and the draws at odd places
+        expected = np.array(list(probe_directions(n, 120, seed=3)))
+        rng = np.random.default_rng(3)
+        blocks = [_directions(start, min(start + 7, 120), n, rng) for start in range(0, 120, 7)]
+        assert np.array_equal(np.concatenate(blocks), expected)
+
+    @settings(max_examples=120, deadline=None)
+    @given(certify_draws())
+    def test_same_outcome_as_device_loop(self, draw):
+        alloc, devices, cfg, n_probes, seed = draw
+        try:
+            expected = perturbation_certify_loop(alloc, devices, cfg, n_probes, 1e-3, seed)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                perturbation_certify(alloc, devices, cfg, n_probes, 1e-3, seed)
+            return
+        assert perturbation_certify(alloc, devices, cfg, n_probes, 1e-3, seed) == expected

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisection_oracles import bits_carried, server_split_bisection, uplink_time_bisection
-from conftest import multi_device_draw, single_device_draw
+from conftest import log_uniform, multi_device_draw, single_device_draw
 from semec import (
     FeasibilityCause,
     FeasibilityError,
@@ -184,10 +184,6 @@ class TestRemoteRateBisection:
                 assert delay == pytest.approx(t, rel=1e-9)
 
 
-def _log_uniform(lo: float, hi: float):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
-
-
 @st.composite
 def uplink_draws(draw) -> TerminalDevice:
     """A device with log-uniform gain, budget and peak power.
@@ -198,12 +194,12 @@ def uplink_draws(draw) -> TerminalDevice:
     saturation). Small c at low peak power leaves the uplink power-limited.
     The extraction energy is negligible, so the uplink has the whole budget.
     """
-    h = draw(_log_uniform(1e-13, 1e-7))
-    energy = draw(_log_uniform(1e-3, 10.0))
-    c = draw(st.one_of(_log_uniform(1e-9, 0.5), _log_uniform(1e-3, 0.5).map(lambda g: 1.0 - g)))
+    h = draw(log_uniform(1e-13, 1e-7))
+    energy = draw(log_uniform(1e-3, 10.0))
+    c = draw(st.one_of(log_uniform(1e-9, 0.5), log_uniform(1e-3, 0.5).map(lambda g: 1.0 - g)))
     bits = c * h * energy * CFG.bandwidth_hz / (CFG.noise_power_w * math.log(2.0))
     return make_device(task_bits=bits, energy_budget=energy, channel_gain=h,
-                       p_tx_max=draw(_log_uniform(1e-2, 10.0)), energy_coeff=1e-40)
+                       p_tx_max=draw(log_uniform(1e-2, 10.0)), energy_coeff=1e-40)
 
 
 @st.composite
@@ -211,10 +207,10 @@ def split_draws(draw):
     """Devices with log-uniform task, intensity and uplink time, and a
     log-uniform server capacity from scarce to 1e30 cycles/s."""
     n = draw(st.integers(1, 12))
-    tds = [make_device(task_bits=draw(_log_uniform(1e3, 1e8)),
-                       intensity=draw(_log_uniform(1.0, 1e4))) for _ in range(n)]
-    t_transmit = [draw(_log_uniform(1e-4, 10.0)) for _ in range(n)]
-    cfg = SystemConfig(n_devices=n, f_mec_total=draw(_log_uniform(1e6, 1e30)))
+    tds = [make_device(task_bits=draw(log_uniform(1e3, 1e8)),
+                       intensity=draw(log_uniform(1.0, 1e4))) for _ in range(n)]
+    t_transmit = [draw(log_uniform(1e-4, 10.0)) for _ in range(n)]
+    cfg = SystemConfig(n_devices=n, f_mec_total=draw(log_uniform(1e6, 1e30)))
     return tds, t_transmit, cfg
 
 
