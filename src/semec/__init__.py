@@ -1,6 +1,6 @@
 """Min-max delay resource allocation for semantic-aware mobile edge computing."""
 
-from .baselines import BaselineKind, solve_local_only, solve_no_semantic
+from .baselines import solve_local_only, solve_no_semantic
 from .bench import (
     Scenario,
     ScenarioError,
@@ -12,27 +12,14 @@ from .bench import (
     run_sweep,
     reference_scenario,
 )
-from .model import (
-    Allocation,
-    DelayBreakdown,
-    DeviceAllocation,
-    EnergyBreakdown,
-    SystemConfig,
-    TerminalDevice,
-    achievable_rate,
-    delay_breakdown,
-    energy_breakdown,
-    extraction_workload,
-    generate_channel_gains,
-    intensity_ratio,
-    uplink_bits_capacity,
-)
+from .model import Allocation, SystemConfig, TerminalDevice, generate_channel_gains
 from .oracle import GridSpec, default_grid_bounds, grid_optimum, perturbation_certify
 from .solver import (
     ConstraintResiduals,
     FeasibilityCause,
     FeasibilityError,
     SolverReport,
+    delay_breakdown,
     log_domain_residuals,
     optimal_beta,
     optimal_local_rate,
@@ -43,11 +30,7 @@ from .solver import (
 
 __all__ = [
     "Allocation",
-    "BaselineKind",
     "ConstraintResiduals",
-    "DelayBreakdown",
-    "DeviceAllocation",
-    "EnergyBreakdown",
     "FeasibilityCause",
     "FeasibilityError",
     "GridSpec",
@@ -58,16 +41,12 @@ __all__ = [
     "SweepSpec",
     "SystemConfig",
     "TerminalDevice",
-    "achievable_rate",
     "default_grid_bounds",
     "delay_breakdown",
     "dump_scenario",
     "emit_csv",
-    "energy_breakdown",
-    "extraction_workload",
     "generate_channel_gains",
     "grid_optimum",
-    "intensity_ratio",
     "load_scenario",
     "log_domain_residuals",
     "optimal_beta",
@@ -80,7 +59,6 @@ __all__ = [
     "solve_no_semantic",
     "reference_scenario",
     "transmit_bisection",
-    "uplink_bits_capacity",
 ]
 
 __version__ = "0.1.0"

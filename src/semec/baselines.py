@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -16,12 +15,7 @@ from .solver import (
     _solve_core,
 )
 
-__all__ = ["BaselineKind", "solve_no_semantic", "solve_local_only"]
-
-
-class BaselineKind(Enum):
-    NO_SEMANTIC = "no-semantic"
-    LOCAL_ONLY = "local-only"
+__all__ = ["solve_no_semantic", "solve_local_only"]
 
 
 def solve_no_semantic(tds: Sequence[TerminalDevice], cfg: SystemConfig,

@@ -13,20 +13,14 @@ import csv
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .baselines import solve_local_only, solve_no_semantic
-from .model import (
-    DelayBreakdown,
-    SystemConfig,
-    TerminalDevice,
-    delay_breakdown,
-    generate_channel_gains,
-)
+from .model import SystemConfig, TerminalDevice, generate_channel_gains
 from .oracle import perturbation_certify
-from .solver import FeasibilityError, SolverReport, solve
+from .solver import FeasibilityError, SolverReport, delay_breakdown, solve
 
 __all__ = [
     "Scenario",
@@ -52,6 +46,7 @@ SWEEPABLE_PARAMS = _DEVICE_PARAMS + _SYSTEM_PARAMS
 
 _DEVICE_FIELDS = ("task_bits", "intensity", "energy_coeff", "f_local_max",
                   "p_tx_max", "beta_min", "energy_budget")
+_SEM_FIELDS = ("sem_a", "sem_k", "sem_p")  # per-device overrides; null defers to the system
 _SYSTEM_FIELDS = tuple(f.name for f in fields(SystemConfig))
 
 _REFERENCE_DEVICE = {
@@ -102,7 +97,7 @@ class SweepResult:
     algorithm: str
     max_delay_s: float
     mean_delay_s: float
-    per_device_breakdown: List[DelayBreakdown]
+    per_device_breakdown: np.ndarray  # (t_local, t_transmit, t_remote, total) per device
     per_device_beta: List[float]
     iterations: int
     error: str = ""
@@ -124,14 +119,33 @@ def _check_keys(section: dict, allowed: Sequence[str], where: str) -> None:
         raise ScenarioError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
-def _device_from_dict(entry: dict, gain: float, distance: Optional[float],
-                      index: int) -> TerminalDevice:
-    allowed = _DEVICE_FIELDS + ("sem_a", "sem_k", "sem_p")
-    _check_keys(entry, allowed, f"devices[{index}]")
+def _fields(section: object, where: str, nullable: Sequence[str] = ()) -> dict:
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{where} must be a mapping")
+    for name, value in section.items():
+        if value is None and name in nullable:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(f"{where}.{name} must be a number, not {value!r}")
+    return dict(section)
+
+
+def _numbers(values: object, n: int, where: str) -> np.ndarray:
+    try:
+        out = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ScenarioError(f"{where} must list {n} numbers") from exc
+    if out.dtype.kind not in "iuf" or out.shape != (n,):
+        raise ScenarioError(f"{where} must list {n} numbers")
+    return out.astype(float, copy=False)
+
+
+def _device_from_dict(entry: dict, gain: float, index: int) -> TerminalDevice:
+    _check_keys(entry, _DEVICE_FIELDS + _SEM_FIELDS, f"devices[{index}]")
     merged = dict(_REFERENCE_DEVICE)
     merged.update(entry)
     try:
-        return TerminalDevice(channel_gain=gain, distance=distance, **merged)
+        return TerminalDevice(channel_gain=gain, **merged)
     except ValueError as exc:
         raise ScenarioError(f"devices[{index}]: {exc}") from exc
 
@@ -140,7 +154,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _check_keys(doc, ("label", "system", "devices", "channel"), "scenario")
     label = str(doc.get("label", ""))
 
-    system_doc = dict(doc.get("system", {}))
+    system_doc = _fields(doc.get("system", {}), "system")
     _check_keys(system_doc, _SYSTEM_FIELDS, "system")
 
     devices_doc = doc.get("devices")
@@ -149,11 +163,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if "uniform" not in devices_doc:
             raise ScenarioError("devices mapping needs a 'uniform' template")
         count = devices_doc.get("count", system_doc.get("n_devices"))
-        if count is None:
-            raise ScenarioError("devices.count or system.n_devices is required")
-        entries = [dict(devices_doc["uniform"]) for _ in range(int(count))]
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ScenarioError(
+                f"devices.count or system.n_devices must give an integer count, not {count!r}")
+        uniform = _fields(devices_doc["uniform"], "devices.uniform", _SEM_FIELDS)
+        entries = [dict(uniform) for _ in range(count)]
     elif isinstance(devices_doc, list):
-        entries = [dict(e) for e in devices_doc]
+        entries = [_fields(e, f"devices[{i}]", _SEM_FIELDS) for i, e in enumerate(devices_doc)]
     else:
         raise ScenarioError("devices must be a list or a uniform template mapping")
 
@@ -176,34 +192,29 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if has_gains == has_dist:
         raise ScenarioError("channel must give exactly one of 'gains' or 'distances_m'")
 
-    distances: Optional[np.ndarray] = None
     if has_gains:
         if "fading_seed" in channel:
             raise ScenarioError("fading_seed applies only to distance-based channels")
-        gains = np.asarray(channel["gains"], dtype=float)
-        if gains.shape != (n,):
-            raise ScenarioError(f"channel.gains must list {n} values")
+        gains = _numbers(channel["gains"], n, "channel.gains")
         if np.any(gains <= 0):
             raise ScenarioError("channel gains must be positive")
     else:
         spec = channel["distances_m"]
         if isinstance(spec, dict):
             _check_keys(spec, ("linspace",), "channel.distances_m")
-            lo, hi = (float(x) for x in spec["linspace"])
+            lo, hi = _numbers(spec.get("linspace"), 2, "channel.distances_m.linspace")
             distances = np.linspace(lo, hi, n)
         else:
-            distances = np.asarray(spec, dtype=float)
-            if distances.shape != (n,):
-                raise ScenarioError(f"channel.distances_m must list {n} values")
+            distances = _numbers(spec, n, "channel.distances_m")
         if np.any(distances <= 0):
             raise ScenarioError("distances must be positive")
-        gains = generate_channel_gains(distances, channel.get("fading_seed"))
+        try:
+            gains = generate_channel_gains(distances, channel.get("fading_seed"))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"channel.fading_seed: {exc}") from exc
 
-    devices = tuple(
-        _device_from_dict(entry, float(gains[i]),
-                          None if distances is None else float(distances[i]), i)
-        for i, entry in enumerate(entries)
-    )
+    devices = tuple(_device_from_dict(entry, float(gains[i]), i)
+                    for i, entry in enumerate(entries))
     channel_record = {k: (list(map(float, v)) if isinstance(v, (list, tuple)) else v)
                       for k, v in channel.items()}
     return Scenario(system=system, devices=devices, channel=channel_record, label=label)
@@ -266,42 +277,35 @@ def _run_algorithm(scenario: Scenario, algorithm: str) -> SolverReport:
     raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
 
 
-def _breakdowns(scenario: Scenario, algorithm: str,
-                report: SolverReport) -> List[DelayBreakdown]:
-    out: List[DelayBreakdown] = []
-    for i, td in enumerate(scenario.devices):
-        row = report.allocation.device(i)
-        if algorithm == "local":
-            total = td.task_bits * td.intensity / row.f_local if td.task_bits else 0.0
-            out.append(DelayBreakdown(total, 0.0, 0.0, total))
-        elif algorithm == "no-semantic":
-            if td.task_bits == 0:
-                out.append(DelayBreakdown(0.0, 0.0, 0.0, 0.0))
-                continue
-            t_remote = td.task_bits * td.intensity / row.f_remote
-            out.append(DelayBreakdown(0.0, row.t_transmit, t_remote,
-                                      row.t_transmit + t_remote))
-        else:
-            if td.task_bits == 0:
-                out.append(DelayBreakdown(0.0, 0.0, 0.0, 0.0))
-                continue
-            out.append(delay_breakdown(td, row, scenario.system))
-    return out
+def _breakdown(scenario: Scenario, algorithm: str, report: SolverReport) -> np.ndarray:
+    alloc = report.allocation
+    if algorithm != "local":
+        return delay_breakdown(scenario.devices, alloc, scenario.system,
+                               extraction=algorithm == "semantic")
+    # local execution runs the raw task on the device: [A*I/f_local, 0, 0, A*I/f_local]
+    cycles = np.fromiter((td.task_bits * td.intensity for td in scenario.devices), float)
+    rows = np.zeros((cycles.size, 4))
+    rows[:, 0] = rows[:, 3] = cycles / alloc.f_local
+    return rows
+
+
+def _failed(sweep: SweepSpec, value: float, algorithm: str, error: str) -> SweepResult:
+    return SweepResult(sweep.param, value, algorithm, float("nan"), float("nan"),
+                       np.zeros((0, 4)), [], 0, error=error)
 
 
 def run_sweep(scenario: Scenario, sweep: SweepSpec, algorithms: Sequence[str],
-              seed: int = 0, verify: bool = False) -> List[SweepResult]:
+              verify: bool = False) -> List[SweepResult]:
     """Solve every (value, algorithm) cell; failures are recorded, not raised.
 
-    Cells are deterministic given (scenario, sweep, seed); the seed is
-    reserved for fading-based channel synthesis, which is resolved at
-    scenario load time, so re-running a sweep always reproduces its CSV.
-    ``verify`` runs the perturbation certificate on each semantic solve.
+    Cells are deterministic given (scenario, sweep): channel gains, fading
+    included, are resolved when the scenario is loaded, so re-running a
+    sweep always reproduces its CSV. ``verify`` runs the perturbation
+    certificate on each semantic solve.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    del seed  # gains are already resolved; kept for reproducibility plumbing
     results: List[SweepResult] = []
     for value in sweep.values:
         cell_scenario = _override(scenario, sweep.param, value)
@@ -309,28 +313,25 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, algorithms: Sequence[str],
             try:
                 report = _run_algorithm(cell_scenario, algorithm)
             except FeasibilityError as exc:
-                results.append(SweepResult(sweep.param, value, algorithm,
-                                           float("nan"), float("nan"), [], [], 0,
-                                           error=str(exc)))
+                results.append(_failed(sweep, value, algorithm, str(exc)))
                 continue
             if verify and algorithm == "semantic":
                 certified = perturbation_certify(report.allocation, cell_scenario.devices,
                                                  cell_scenario.system, n_probes=200,
                                                  step=1e-3)
                 if not certified:
-                    results.append(SweepResult(sweep.param, value, algorithm,
-                                               float("nan"), float("nan"), [], [], 0,
-                                               error="optimality certification failed"))
+                    results.append(_failed(sweep, value, algorithm,
+                                           "optimality certification failed"))
                     continue
-            breakdowns = _breakdowns(cell_scenario, algorithm, report)
-            totals = [bd.total for bd in breakdowns]
+            breakdown = _breakdown(cell_scenario, algorithm, report)
+            totals = breakdown[:, 3]
             results.append(SweepResult(
                 swept_param=sweep.param,
                 value=value,
                 algorithm=algorithm,
-                max_delay_s=max(totals) if totals else 0.0,
-                mean_delay_s=float(np.mean(totals)) if totals else 0.0,
-                per_device_breakdown=breakdowns,
+                max_delay_s=float(totals.max()),
+                mean_delay_s=float(np.mean(totals)),
+                per_device_breakdown=breakdown,
                 per_device_beta=[float(b) for b in report.allocation.beta],
                 iterations=report.iterations,
             ))
@@ -345,10 +346,7 @@ def emit_csv(results: Sequence[SweepResult], path: Union[str, Path]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for r in results:
-            breakdown = json.dumps(
-                [[bd.t_local, bd.t_transmit, bd.t_remote, bd.total]
-                 for bd in r.per_device_breakdown],
-                separators=(",", ":"))
+            breakdown = json.dumps(r.per_device_breakdown.tolist(), separators=(",", ":"))
             betas = json.dumps(list(r.per_device_beta), separators=(",", ":"))
             writer.writerow([r.swept_param, repr(float(r.value)), r.algorithm,
                              repr(float(r.max_delay_s)), repr(float(r.mean_delay_s)),

@@ -10,7 +10,6 @@ from typing import List, Optional
 from .bench import (
     ALGORITHMS,
     SWEEPABLE_PARAMS,
-    ScenarioError,
     SweepSpec,
     emit_csv,
     load_scenario,
@@ -43,14 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"swept parameter; one of {', '.join(SWEEPABLE_PARAMS)}")
     parser.add_argument("--algorithm", action="append", choices=sorted(ALGORITHMS),
                         default=None, help="algorithm to run (repeatable; default: semantic)")
-    parser.add_argument("--seed", type=int, default=0, help="reproducibility seed echo")
     parser.add_argument("--out", default="sweep_results.csv", help="output CSV path")
     parser.add_argument("--verify", action="store_true",
                         help="certify each semantic solve against random feasible perturbations")
     parser.add_argument("--eps1", type=float, default=None,
                         help="override the server-split accuracy bound")
-    parser.add_argument("--eps2", type=float, default=None,
-                        help="override the uplink accuracy bound (the exact solve meets any)")
     parser.add_argument("--eps-outer", type=float, default=None,
                         help="override the outer relative convergence threshold")
     parser.add_argument("--max-iters", type=int, default=None,
@@ -60,23 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {name: value for name, value in (("eps_bisect_capacity", args.eps1),
+                                                 ("eps_outer", args.eps_outer),
+                                                 ("max_outer_iters", args.max_iters))
+                 if value is not None}
     try:
         scenario = load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
+        scenario = replace(scenario, system=replace(scenario.system, **overrides))
+    except (OSError, ValueError) as exc:  # ScenarioError, or an override out of range
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    overrides = {}
-    if args.eps1 is not None:
-        overrides["eps_bisect_capacity"] = args.eps1
-    if args.eps2 is not None:
-        overrides["eps_bisect_transmit"] = args.eps2
-    if args.eps_outer is not None:
-        overrides["eps_outer"] = args.eps_outer
-    if args.max_iters is not None:
-        overrides["max_outer_iters"] = args.max_iters
-    if overrides:
-        scenario = replace(scenario, system=replace(scenario.system, **overrides))
 
     algorithms = args.algorithm or ["semantic"]
     if args.sweep is None:
@@ -87,12 +76,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cfg = scenario.system
     print(f"scenario={scenario.label or args.scenario} devices={cfg.n_devices} "
-          f"seed={args.seed} eps1={cfg.eps_bisect_capacity} eps2={cfg.eps_bisect_transmit} "
-          f"eps_outer={cfg.eps_outer} max_iters={cfg.max_outer_iters}")
+          f"eps1={cfg.eps_bisect_capacity} eps_outer={cfg.eps_outer} "
+          f"max_iters={cfg.max_outer_iters}")
     print(f"sweep={sweep.param}={','.join(repr(v) for v in sweep.values)} "
           f"algorithms={','.join(algorithms)} verify={args.verify}")
 
-    results = run_sweep(scenario, sweep, algorithms, seed=args.seed, verify=args.verify)
+    results = run_sweep(scenario, sweep, algorithms, verify=args.verify)
     emit_csv(results, args.out)
     print(f"wrote {args.out} ({len(results)} rows)")
 

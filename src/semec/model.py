@@ -1,8 +1,8 @@
 """System model for semantic-aware edge offloading.
 
-Holds the per-device and system-wide parameter types, the closed-form delay
-and energy components of the compute-then-transmit protocol, and channel
-gain synthesis from distances.
+Holds the per-device and system-wide parameter types, the allocation type,
+and channel gain synthesis from distances. The delay and energy closed forms
+of the compute-then-transmit protocol live in :mod:`semec.solver`.
 
 Unit conventions are fixed and nothing auto-converts: bits, Hz, seconds,
 joules, watts, CPU cycles, and dimensionless linear power gains.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,19 +20,10 @@ import numpy as np
 __all__ = [
     "TerminalDevice",
     "SystemConfig",
-    "DeviceAllocation",
     "Allocation",
-    "DelayBreakdown",
-    "EnergyBreakdown",
     "noise_power_watts",
     "generate_channel_gains",
     "semantic_constants",
-    "extraction_workload",
-    "intensity_ratio",
-    "achievable_rate",
-    "uplink_bits_capacity",
-    "delay_breakdown",
-    "energy_breakdown",
 ]
 
 _DBM_PER_WATT = 30.0
@@ -50,8 +42,7 @@ class TerminalDevice:
     ``energy_coeff`` the switched-capacitance constant of the local CPU
     (J*s^2/cycles^3), and ``channel_gain`` the linear uplink power gain.
     ``beta_min`` is the smallest extraction factor that still preserves the
-    required task accuracy. ``distance`` is only carried for provenance when
-    the gain was derived from a path-loss model.
+    required task accuracy.
 
     The semantic workload constants may be overridden per device; ``None``
     defers to the system-wide values.
@@ -65,7 +56,6 @@ class TerminalDevice:
     beta_min: float
     energy_budget: float
     channel_gain: float
-    distance: Optional[float] = None
     sem_a: Optional[float] = None
     sem_k: Optional[float] = None
     sem_p: Optional[float] = None
@@ -79,8 +69,6 @@ class TerminalDevice:
             if not 0 < float(getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
         _require(0 < self.beta_min <= 1, "beta_min must lie in (0, 1]")
-        if self.distance is not None:
-            _require(0 < self.distance < math.inf, "distance must be finite and positive")
         for name in ("sem_a", "sem_k", "sem_p"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
@@ -95,8 +83,7 @@ class SystemConfig:
     the integrated noise power over one sub-channel of ``bandwidth_hz``.
     Defaults reproduce the reference simulation setup. Every field must be
     finite. ``eps_bisect_capacity`` bounds the Newton solve of the server
-    split; ``eps_bisect_transmit`` is only an upper bound on the uplink
-    time's error, which the exact uplink solve always meets.
+    split; the uplink time has no tolerance, because its solve is exact.
     """
 
     n_devices: int
@@ -107,33 +94,22 @@ class SystemConfig:
     sem_k: float = 4.0
     sem_p: float = 3.0
     eps_bisect_capacity: float = 1e-7
-    eps_bisect_transmit: float = 1e-7
     eps_outer: float = 1e-6
     max_outer_iters: int = 100
 
     def __post_init__(self) -> None:
-        _require(1 <= self.n_devices < math.inf, "n_devices must be a positive integer")
+        for name in ("n_devices", "max_outer_iters"):
+            if not (isinstance(getattr(self, name), Integral) and getattr(self, name) >= 1):
+                raise ValueError(f"{name} must be a positive integer")
         _require(abs(self.noise_psd_dbm_hz) < math.inf, "noise_psd_dbm_hz must be finite")
         for name in ("bandwidth_hz", "f_mec_total", "sem_a", "sem_k", "sem_p",
-                     "eps_bisect_capacity", "eps_bisect_transmit", "eps_outer"):
+                     "eps_bisect_capacity", "eps_outer"):
             _require(0 < float(getattr(self, name)) < math.inf,
                      f"{name} must be finite and positive")
-        _require(1 <= self.max_outer_iters < math.inf, "max_outer_iters must be positive")
 
     @property
     def noise_power_w(self) -> float:
         return noise_power_watts(self.noise_psd_dbm_hz, self.bandwidth_hz)
-
-
-@dataclass(frozen=True)
-class DeviceAllocation:
-    """Decision variables of a single device."""
-
-    f_local: float
-    f_remote: float
-    t_transmit: float
-    e_transmit: float
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -161,34 +137,6 @@ class Allocation:
     @property
     def n_devices(self) -> int:
         return int(self.f_local.shape[0])
-
-    def device(self, index: int) -> DeviceAllocation:
-        return DeviceAllocation(
-            f_local=float(self.f_local[index]),
-            f_remote=float(self.f_remote[index]),
-            t_transmit=float(self.t_transmit[index]),
-            e_transmit=float(self.e_transmit[index]),
-            beta=float(self.beta[index]),
-        )
-
-
-@dataclass(frozen=True)
-class DelayBreakdown:
-    """Per-device delay components: extraction, uplink, remote execution."""
-
-    t_local: float
-    t_transmit: float
-    t_remote: float
-    total: float
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Per-device energy components: local extraction and transmission."""
-
-    e_compute: float
-    e_transmit: float
-    total: float
 
 
 def noise_power_watts(noise_psd_dbm_hz: float, bandwidth_hz: float) -> float:
@@ -224,78 +172,3 @@ def semantic_constants(td: TerminalDevice, cfg: SystemConfig) -> tuple[float, fl
     k = cfg.sem_k if td.sem_k is None else td.sem_k
     p = cfg.sem_p if td.sem_p is None else td.sem_p
     return a, k, p
-
-
-def extraction_workload(td: TerminalDevice, beta: float, cfg: SystemConfig) -> float:
-    """Local semantic-extraction workload in CPU cycles: a*A/beta^k.
-
-    Strictly decreasing in ``beta``: keeping more of the raw data takes less
-    effort to extract.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    a, k, _ = semantic_constants(td, cfg)
-    return a * td.task_bits / beta**k
-
-
-def intensity_ratio(beta: float, cfg: SystemConfig, p: Optional[float] = None) -> float:
-    """Server-side intensity multiplier 1/beta^p; equals 1 for raw data."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if p is None:
-        p = cfg.sem_p
-    return beta**-p
-
-
-def achievable_rate(td: TerminalDevice, p_tx: float, cfg: SystemConfig) -> float:
-    """Uplink rate in bits/s at transmit power ``p_tx`` watts."""
-    _require(p_tx >= 0, "p_tx must be nonnegative")
-    snr = td.channel_gain * p_tx / cfg.noise_power_w
-    return cfg.bandwidth_hz * math.log2(1.0 + snr)
-
-
-def uplink_bits_capacity(td: TerminalDevice, e_transmit: float, t_transmit: float,
-                         cfg: SystemConfig) -> float:
-    """Bits deliverable in ``t_transmit`` seconds spending ``e_transmit`` joules.
-
-    This is the perspective form t*B*log2(1 + h*e/(t*sigma^2)), jointly
-    concave in (e, t); it degrades gracefully to 0 at t = 0.
-    """
-    _require(e_transmit >= 0 and t_transmit >= 0, "energy and time must be nonnegative")
-    if t_transmit == 0:
-        return 0.0
-    snr = td.channel_gain * e_transmit / (t_transmit * cfg.noise_power_w)
-    return t_transmit * cfg.bandwidth_hz * math.log2(1.0 + snr)
-
-
-def delay_breakdown(td: TerminalDevice, row: DeviceAllocation, cfg: SystemConfig) -> DelayBreakdown:
-    """Delay components of one device under the given decisions.
-
-    The uplink time is a decision variable and is passed through; extraction
-    and remote execution come from the closed forms. A zero-bit task yields
-    all-zero components.
-    """
-    if td.task_bits == 0:
-        return DelayBreakdown(0.0, 0.0, 0.0, 0.0)
-    if row.f_local <= 0 or row.f_remote <= 0:
-        raise ValueError("compute rates must be positive for a nonzero task")
-    a, k, p = semantic_constants(td, cfg)
-    t_local = a * td.task_bits / (row.beta**k * row.f_local)
-    t_remote = td.task_bits * td.intensity * row.beta ** (1.0 - p) / row.f_remote
-    t_transmit = float(row.t_transmit)
-    return DelayBreakdown(t_local, t_transmit, t_remote, t_local + t_transmit + t_remote)
-
-
-def energy_breakdown(td: TerminalDevice, row: DeviceAllocation, cfg: SystemConfig) -> EnergyBreakdown:
-    """Energy components of one device: extraction energy plus uplink energy.
-
-    Extraction energy is the cubic compute power held for the extraction
-    time, which collapses to a*A*kappa*f_local^2/beta^k.
-    """
-    if td.task_bits == 0:
-        return EnergyBreakdown(0.0, float(row.e_transmit), float(row.e_transmit))
-    if row.f_local <= 0:
-        raise ValueError("f_local must be positive for a nonzero task")
-    a, k, _ = semantic_constants(td, cfg)
-    e_compute = a * td.task_bits * td.energy_coeff * row.f_local**2 / row.beta**k
-    return EnergyBreakdown(e_compute, float(row.e_transmit), e_compute + float(row.e_transmit))

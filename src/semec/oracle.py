@@ -199,6 +199,7 @@ _PROBE_TOL = 1e-12  # each perturbed probe
 _BLOCK_ENTRIES = 2**14  # probe entries per block: 128 KB per float64 temporary
 _STRUCTURED_DEVICES = 32  # devices that get their own structured direction pair
 _UPLINK_AXES = (0, 3, 4)  # beta, t_transmit, e_transmit in a (5, n) probe
+_SERVER_AXIS = 2  # f_remote in a (5, n) probe
 
 
 class _DeviceArrays:
@@ -276,19 +277,21 @@ def _directions(start: int, stop: int, n: int, rng: np.random.Generator) -> np.n
     """Unit probe directions ``start`` to ``stop - 1``, shaped ``(rows, 5, n)``.
 
     The structured family comes first: plus and minus the joint (beta,
-    t_transmit, e_transmit) direction over all devices, then plus and minus
-    that direction on each of the first 32 devices alone. The
+    t_transmit, e_transmit) direction over all devices, plus and minus all
+    f_remote (which improves wherever server capacity is left unused), then
+    the joint pair on each of the first 32 devices alone. The
     deliverable-bits constraint is 1-homogeneous in (time, energy), so
     scaling the factor and the uplink pair together walks exactly along a
     tight rate constraint; these directions expose suboptimal points whose
     improving cone is too narrow for isotropic sampling to hit. Isotropic
     Gaussian draws from ``rng`` follow.
     """
-    n_structured = 2 + 2 * min(n, _STRUCTURED_DEVICES)
+    n_structured = 4 + 2 * min(n, _STRUCTURED_DEVICES)
     z = np.zeros((stop - start, 5, n))
     for row, index in enumerate(range(start, min(stop, n_structured))):
-        devices = slice(None) if index < 2 else (index - 2) // 2
-        z[row, _UPLINK_AXES, devices] = 1.0 if index % 2 == 0 else -1.0
+        axes = _SERVER_AXIS if 2 <= index < 4 else _UPLINK_AXES
+        devices = slice(None) if index < 4 else (index - 4) // 2
+        z[row, axes, devices] = 1.0 if index % 2 == 0 else -1.0
     drawn = stop - max(start, n_structured)
     if drawn > 0:
         z[-drawn:] = rng.standard_normal((drawn, 5 * n)).reshape(drawn, 5, n)

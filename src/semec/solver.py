@@ -17,14 +17,14 @@ exact block solves converges monotonically. One outer iteration runs:
    device finishes at the same time.
 
 Every inner solve runs to relative machine precision and ends on the
-feasible side of its float constraint, so the configured epsilons are upper
-bounds that the returned values always meet.
+feasible side of its float constraint, so ``eps_bisect_capacity`` is an upper
+bound that the returned server split always meets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import List, Optional, Sequence
@@ -44,6 +44,7 @@ __all__ = [
     "optimal_beta",
     "solve",
     "log_domain_residuals",
+    "delay_breakdown",
 ]
 
 _LN2 = math.log(2.0)
@@ -465,7 +466,7 @@ def optimal_local_rate(td: TerminalDevice, beta: float, e_transmit: float,
         raise ValueError("e_transmit must be nonnegative")
     if td.task_bits == 0:
         return td.f_local_max
-    sc = _Scenario([td], _single_cfg(cfg))
+    sc = _Scenario([td], cfg)
     return float(_local_rate_block(sc, np.array([beta]), np.array([e_transmit]))[0])
 
 
@@ -477,14 +478,14 @@ def transmit_bisection(td: TerminalDevice, beta: float, f_local: float,
     the leftover budget or from peak power), since the minimal time meets
     the rate requirement only at maximal energy. When the budget binds, the
     time is the Lambert-W root of the perspective rate equation, found by
-    monotone Newton steps and returned where the float rate condition holds;
-    the name predates this exact solve, which always meets ``eps_bisect_transmit``.
+    monotone Newton steps and returned where the float rate condition holds.
+    The name predates this exact solve, which has no tolerance to set.
     """
     if not 0 < beta <= 1:
         raise ValueError("beta must lie in (0, 1]")
     if f_local <= 0:
         raise ValueError("f_local must be positive")
-    sc = _Scenario([td], _single_cfg(cfg))
+    sc = _Scenario([td], cfg)
     t, e = _transmit_block(sc, np.array([beta]), np.array([f_local]))
     return float(t[0]), float(e[0])
 
@@ -520,14 +521,10 @@ def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit
         raise ValueError("uplink time and energy must be nonnegative")
     if td.task_bits == 0:
         return 1.0
-    sc = _Scenario([td], _single_cfg(cfg))
+    sc = _Scenario([td], cfg)
     beta = _beta_closed_form(sc, np.array([f_local]), np.array([f_remote]),
                              np.array([t_transmit]), np.array([e_transmit]))
     return float(beta[0])
-
-
-def _single_cfg(cfg: SystemConfig) -> SystemConfig:
-    return cfg if cfg.n_devices == 1 else replace(cfg, n_devices=1)
 
 
 def _validate(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> None:
@@ -643,3 +640,21 @@ def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
     beta_ceiling = -np.log(beta)
     return ConstraintResiduals(delay_cap, energy, rate, f_local_cap, capacity,
                                e_nonneg, e_power_cap, beta_floor, beta_ceiling)
+
+
+def delay_breakdown(tds: Sequence[TerminalDevice], alloc: Allocation, cfg: SystemConfig,
+                    extraction: bool = True) -> np.ndarray:
+    """Rows (t_local, t_transmit, t_remote, total) of each device's delay.
+
+    The closed forms and the order of the sum are the solver's objective's;
+    devices without task bits get a zero row, and ``extraction=False`` drops
+    the extraction pass as the raw-upload baseline does.
+    """
+    sc = _Scenario(tds, cfg, extraction)
+    rows = np.zeros((sc.n, 4))
+    m = sc.active
+    rows[:, 0] = _t_local(sc, alloc.beta, alloc.f_local)
+    rows[m, 1] = alloc.t_transmit[m]
+    rows[m, 2] = _remote_cycles(sc, alloc.beta)[m] / alloc.f_remote[m]
+    rows[:, 3] = rows[:, 0] + rows[:, 1] + rows[:, 2]
+    return rows

@@ -67,6 +67,10 @@ def _structured_directions(n: int) -> list[np.ndarray]:
     comm[0] = comm[3] = comm[4] = 1.0  # beta, t_transmit, e_transmit together
     directions.append(comm.ravel())
     directions.append(-comm.ravel())
+    server = np.zeros((5, n))
+    server[2] = 1.0  # every f_remote together
+    directions.append(server.ravel())
+    directions.append(-server.ravel())
     for i in range(min(n, 32)):
         single = np.zeros((5, n))
         single[0, i] = single[3, i] = single[4, i] = 1.0

@@ -35,7 +35,6 @@ def single_device_draw(rng: np.random.Generator) -> tuple[TerminalDevice, System
             beta_min=float(rng.uniform(0.5, 0.75)),
             energy_budget=float(rng.uniform(0.35, 0.7)),
             channel_gain=h,
-            distance=d,
         )
         cfg = SystemConfig(
             n_devices=1,
@@ -65,7 +64,6 @@ def multi_device_draw(rng: np.random.Generator, n: int = 10,
             beta_min=float(rng.uniform(0.5, 0.8)),
             energy_budget=float(rng.uniform(0.35, 0.7)),
             channel_gain=float(h[i]),
-            distance=float(d[i]),
         )
         for i in range(n)
     )

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import multi_device_draw
 from semec import (
-    BaselineKind,
     SystemConfig,
     TerminalDevice,
     solve,
@@ -20,10 +19,6 @@ def make_device(**overrides) -> TerminalDevice:
 
 
 CFG = SystemConfig(n_devices=1)
-
-
-def test_kind_enumeration():
-    assert {k.value for k in BaselineKind} == {"no-semantic", "local-only"}
 
 
 class TestLocalOnly:

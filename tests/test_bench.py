@@ -1,15 +1,28 @@
+import importlib
+import importlib.util
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semec import ScenarioError, SweepSpec, dump_scenario, emit_csv, load_scenario, run_sweep, reference_scenario
+from semec import (
+    ScenarioError,
+    SweepSpec,
+    dump_scenario,
+    emit_csv,
+    load_scenario,
+    reference_scenario,
+    run_sweep,
+    solve,
+)
 from semec.bench import scenario_from_dict
 from semec.cli import main as cli_main
 
-SCENARIO_PATH = Path(__file__).resolve().parents[1] / "scenarios" / "reference.json"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_PATH = ROOT / "scenarios" / "reference.json"
 
 
 def minimal_doc(**overrides):
@@ -29,8 +42,6 @@ class TestLoadScenario:
         built = reference_scenario()
         assert from_file == built
         assert len(from_file.devices) == 10
-        assert from_file.devices[0].distance == 120.0
-        assert from_file.devices[-1].distance == 255.0
 
     def test_defaults_fill_from_reference_values(self):
         scn = scenario_from_dict(minimal_doc())
@@ -60,7 +71,6 @@ class TestLoadScenario:
         doc = minimal_doc(channel={"gains": [2e-10, 1e-10]})
         scn = scenario_from_dict(doc)
         assert scn.devices[0].channel_gain == 2e-10
-        assert scn.devices[0].distance is None
 
     def test_fading_seed_only_with_distances(self):
         doc = minimal_doc(channel={"gains": [2e-10, 1e-10], "fading_seed": 3})
@@ -77,6 +87,46 @@ class TestLoadScenario:
         doc = minimal_doc(system={"n_devices": 2, "bogus": 1.0})
         with pytest.raises(ScenarioError, match="bogus"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(doc, id=name) for name, doc in {
+            "linspace-3": {"channel": {"distances_m": {"linspace": [120.0, 160.0, 200.0]}}},
+            "linspace-1": {"channel": {"distances_m": {"linspace": [120.0]}}},
+            "linspace-missing": {"channel": {"distances_m": {}}},
+            "linspace-string": {"channel": {"distances_m": {"linspace": "120-200"}}},
+            "linspace-word": {"channel": {"distances_m": {"linspace": ["near", 200.0]}}},
+            "distances-words": {"channel": {"distances_m": ["near", "far"]}},
+            "distances-nested": {"channel": {"distances_m": [120.0, [200.0]]}},
+            "gains-word": {"channel": {"gains": ["strong", 1e-10]}},
+            "gains-mapping": {"channel": {"gains": [{}, 1e-10]}},
+            "gains-numeric-strings": {"channel": {"gains": ["1e-10", "2e-10"]}},
+            "fading-seed-word": {"channel": {"distances_m": [120.0, 200.0],
+                                             "fading_seed": "abc"}},
+            "count-word": {"devices": {"uniform": {}, "count": "abc"}},
+            "count-fraction": {"devices": {"uniform": {}, "count": 2.7}},
+            "count-bool": {"devices": {"uniform": {}, "count": True}},
+            "count-missing": {"system": {}, "devices": {"uniform": {}}},
+            "uniform-string": {"devices": {"uniform": "reference", "count": 2}},
+            "device-entries-numbers": {"devices": [1, 2]},
+            "device-field-string": {"devices": {"uniform": {"task_bits": "3e6"}, "count": 2}},
+            "device-field-null": {"devices": {"uniform": {"beta_min": None}, "count": 2}},
+            "device-field-numeric-string": {"devices": [{"intensity": "70"}, {}]},
+            "system-list": {"system": [["n_devices", 2]]},
+            "system-field-word": {"system": {"n_devices": "two"}},
+            "system-field-numeric-string": {"system": {"n_devices": 2, "sem_a": "1e-5"}},
+            "system-field-null": {"system": {"n_devices": 2, "sem_p": None}},
+            "system-iteration-cap-fraction": {"system": {"n_devices": 2, "max_outer_iters": 2.5}},
+            "removed-eps-bisect-transmit": {"system": {"n_devices": 2,
+                                                       "eps_bisect_transmit": 1e-7}},
+        }.items()
+    ])
+    def test_malformed_document_rejected(self, overrides):
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(minimal_doc(**overrides))
+
+    def test_null_sem_override_defers_to_system(self):
+        scn = scenario_from_dict(minimal_doc(devices=[{"sem_a": None}, {"sem_a": 2e-5}]))
+        assert scn.devices[0].sem_a is None and scn.devices[1].sem_a == 2e-5
 
     def test_round_trip(self, tmp_path):
         scn = reference_scenario()
@@ -136,9 +186,18 @@ class TestRunSweep:
     def test_max_is_max_of_device_totals(self, reference):
         results = run_sweep(reference, SweepSpec("energy_budget", (0.5,)), ["semantic"])
         r = results[0]
-        totals = [bd.total for bd in r.per_device_breakdown]
+        totals = r.per_device_breakdown[:, 3]
         assert r.max_delay_s == max(totals)
         assert r.mean_delay_s == pytest.approx(float(np.mean(totals)))
+
+    def test_semantic_max_delay_is_solver_epigraph(self, reference):
+        # the breakdown adds the delays in the solver's own order
+        for value in (0.3, 0.5):
+            r, = run_sweep(reference, SweepSpec("energy_budget", (value,)), ["semantic"])
+            devices = tuple(replace(td, energy_budget=value) for td in reference.devices)
+            report = solve(devices, reference.system)
+            assert r.max_delay_s == report.allocation.t_epigraph
+            assert r.per_device_breakdown.shape == (len(devices), 4)
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ScenarioError, match="unknown sweep parameter"):
@@ -203,8 +262,7 @@ class TestCli:
         out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
         base = ["--scenario", str(SCENARIO_PATH),
                 "--sweep", "energy_budget=0.4,0.6",
-                "--algorithm", "semantic", "--algorithm", "local",
-                "--seed", "7"]
+                "--algorithm", "semantic", "--algorithm", "local"]
         assert cli_main(base + ["--out", str(out1)]) == 0
         assert cli_main(base + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -235,9 +293,28 @@ class TestCli:
     def test_tolerance_overrides_pass_through(self, tmp_path):
         out = tmp_path / "tol.csv"
         code = cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(out),
-                         "--eps1", "1e-6", "--eps2", "1e-6", "--eps-outer", "1e-5",
+                         "--eps1", "1e-6", "--eps-outer", "1e-5",
                          "--max-iters", "50"])
         assert code == 0
+
+    @pytest.mark.parametrize("flag,value,field", [("--max-iters", "0", "max_outer_iters"),
+                                                  ("--eps1", "-1", "eps_bisect_capacity"),
+                                                  ("--eps-outer", "nan", "eps_outer")])
+    def test_bad_override_is_an_error_not_a_traceback(self, tmp_path, capsys, flag, value,
+                                                      field):
+        out = tmp_path / "bad.csv"
+        code = cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(out), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--eps2", "--seed"])
+    def test_removed_flags_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(tmp_path / "x.csv"),
+                      flag, "1"])
+        assert exc.value.code == 2
 
     def test_installed_entry_point(self, tmp_path):
         out = tmp_path / "ep.csv"
@@ -247,3 +324,16 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+class TestTracedCallSites:
+    def test_perfbench_call_sites_resolve(self):
+        # the traced benchmark run wraps these module attributes by name; one
+        # that no longer resolves breaks it
+        spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                      ROOT / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for module, attr, *_ in spans._CALL_SITES:
+            target = getattr(importlib.import_module(f"semec.{module}"), attr, None)
+            assert callable(target), f"semec.{module}.{attr}"

@@ -1,21 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import multi_device_draw
 from semec import (
-    DeviceAllocation,
+    Allocation,
     SystemConfig,
     TerminalDevice,
-    achievable_rate,
     delay_breakdown,
-    energy_breakdown,
-    extraction_workload,
     generate_channel_gains,
-    intensity_ratio,
-    uplink_bits_capacity,
+    log_domain_residuals,
+    solve,
+    solve_no_semantic,
 )
+from semec.model import semantic_constants
+from semec.solver import _Scenario, _uplink_bits
 
 
 def make_device(**overrides) -> TerminalDevice:
@@ -26,6 +28,25 @@ def make_device(**overrides) -> TerminalDevice:
 
 
 CFG = SystemConfig(n_devices=1)
+
+
+def make_alloc(n: int = 1, **values) -> Allocation:
+    """An allocation of ``n`` devices; each value is a scalar or an (n,) array."""
+    base = dict(f_local=1e9, f_remote=1e9, t_transmit=0.0, e_transmit=0.0, beta=1.0)
+    base.update(values)
+    return Allocation(*(np.full(n, base[name], dtype=float) for name in
+                        ("f_local", "f_remote", "t_transmit", "e_transmit", "beta")), 0.0)
+
+
+def breakdown(td: TerminalDevice, cfg: SystemConfig = CFG, **values) -> np.ndarray:
+    """The single device's (t_local, t_transmit, t_remote, total) row."""
+    return delay_breakdown([td], make_alloc(**values), cfg)[0]
+
+
+def uplink_bits(td: TerminalDevice, e, t) -> np.ndarray:
+    """Bits the solver's perspective rate delivers with energies ``e`` in times ``t``."""
+    e, t = np.asarray(e, dtype=float), np.asarray(t, dtype=float)
+    return _uplink_bits(_Scenario([td] * e.size, replace(CFG, n_devices=e.size)), e, t)
 
 
 class TestValidation:
@@ -49,7 +70,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("name", ["task_bits", "intensity", "energy_coeff", "f_local_max",
                                       "p_tx_max", "beta_min", "energy_budget", "channel_gain",
-                                      "distance", "sem_a", "sem_k", "sem_p"])
+                                      "sem_a", "sem_k", "sem_p"])
     def test_device_fields_must_be_finite(self, name):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
@@ -57,8 +78,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("name", ["n_devices", "bandwidth_hz", "noise_psd_dbm_hz",
                                       "f_mec_total", "sem_a", "sem_k", "sem_p",
-                                      "eps_bisect_capacity", "eps_bisect_transmit",
-                                      "eps_outer", "max_outer_iters"])
+                                      "eps_bisect_capacity", "eps_outer",
+                                      "max_outer_iters"])
     def test_config_fields_must_be_finite(self, name):
         fields = {"n_devices": 1, name: None}
         for value in (math.inf, -math.inf, math.nan):
@@ -68,139 +89,144 @@ class TestValidation:
 
 
 class TestExtractionWorkload:
+    """The extraction workload a*A/beta^k, read as t_local at f_local = 1 Hz."""
+
     def test_unit_factor_is_linear_coefficient(self):
-        assert extraction_workload(make_device(), 1.0, CFG) == pytest.approx(30.0, rel=1e-14)
+        assert breakdown(make_device(), f_local=1.0)[0] == pytest.approx(30.0, rel=1e-14)
 
     def test_partial_factor(self):
         # 1e-5 * 3e6 / 0.6**4, evaluated independently
         expected = 231.48148148148147
-        assert extraction_workload(make_device(), 0.6, CFG) == pytest.approx(expected, rel=1e-12)
+        assert breakdown(make_device(), f_local=1.0, beta=0.6)[0] == pytest.approx(
+            expected, rel=1e-12)
 
     def test_zero_task(self):
-        assert extraction_workload(make_device(task_bits=0.0), 0.7, CFG) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            extraction_workload(make_device(), 0.0, CFG)
-        with pytest.raises(ValueError):
-            extraction_workload(make_device(), -0.3, CFG)
+        assert breakdown(make_device(task_bits=0.0), f_local=1.0, beta=0.7)[0] == 0.0
 
     @given(st.floats(0.05, 0.999), st.floats(1.001, 1.5))
     def test_strictly_decreasing(self, lo, scale):
+        # t_local falls as the factor grows
         hi = min(1.0, lo * scale)
         td = make_device()
         if hi > lo:
-            assert extraction_workload(td, lo, CFG) > extraction_workload(td, hi, CFG)
+            assert breakdown(td, beta=lo)[0] > breakdown(td, beta=hi)[0]
 
 
 class TestIntensityRatio:
+    """The server workload per kept bit, I/beta^p, read from t_remote."""
+
     def test_raw_data_has_unit_ratio(self):
-        assert intensity_ratio(1.0, CFG) == 1.0
+        td = make_device()
         for p in (0.3, 1.0, 2.5, 7.0):
-            assert intensity_ratio(1.0, CFG, p=p) == 1.0
+            t_remote = breakdown(td, replace(CFG, sem_p=p), f_remote=1e9)[2]
+            assert t_remote == td.task_bits * td.intensity / 1e9
 
     def test_values(self):
-        assert intensity_ratio(0.5, CFG, p=3.0) == pytest.approx(8.0, rel=1e-14)
-        assert intensity_ratio(0.5, CFG, p=1.0) == pytest.approx(2.0, rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            intensity_ratio(0.0, CFG)
+        # beta*A bits kept, each costing I/beta^p cycles: ratio 8 at p=3, 2 at p=1
+        td = make_device()
+        kept = 0.5 * td.task_bits * td.intensity / 1e9
+        t_p3 = breakdown(td, replace(CFG, sem_p=3.0), beta=0.5)[2]
+        t_p1 = breakdown(td, replace(CFG, sem_p=1.0), beta=0.5)[2]
+        assert t_p3 == pytest.approx(8.0 * kept, rel=1e-14)
+        assert t_p1 == pytest.approx(2.0 * kept, rel=1e-14)
 
 
 class TestAchievableRate:
+    """The rate B*log2(1 + h*p/sigma^2), as the bits one second carries at power p."""
+
     def test_zero_power(self):
-        assert achievable_rate(make_device(), 0.0, CFG) == 0.0
+        assert uplink_bits(make_device(), [0.0], [1.0])[0] == 0.0
 
     def test_pinned_snr(self):
         # h*p/noise == 1 -> one bandwidth of rate; == 3 -> two bandwidths
-        noise = CFG.noise_power_w
-        td = make_device(channel_gain=noise)
-        assert achievable_rate(td, 1.0, CFG) == pytest.approx(1e6, rel=1e-12)
-        assert achievable_rate(td, 3.0, CFG) == pytest.approx(2e6, rel=1e-12)
+        td = make_device(channel_gain=CFG.noise_power_w)
+        rates = uplink_bits(td, [1.0, 3.0], [1.0, 1.0])
+        assert rates == pytest.approx([1e6, 2e6], rel=1e-12)
 
     def test_concave_in_power(self):
         rng = np.random.default_rng(3)
         td = make_device(channel_gain=5e-11)
-        for _ in range(200):
-            p1, p2 = rng.uniform(0.0, 2.0, 2)
-            mid = achievable_rate(td, (p1 + p2) / 2, CFG)
-            avg = (achievable_rate(td, p1, CFG) + achievable_rate(td, p2, CFG)) / 2
-            assert mid >= avg - 1e-12 * max(mid, 1.0)
+        p1, p2 = rng.uniform(0.0, 2.0, (2, 200))
+        ones = np.ones(200)
+        mid = uplink_bits(td, (p1 + p2) / 2, ones)
+        avg = (uplink_bits(td, p1, ones) + uplink_bits(td, p2, ones)) / 2
+        assert np.all(mid >= avg - 1e-12 * np.maximum(mid, 1.0))
 
 
 class TestPerspectiveCapacity:
     def test_concave_in_energy_and_time(self):
         rng = np.random.default_rng(11)
         td = make_device(channel_gain=8e-11)
-        for _ in range(200):
-            e1, e2 = rng.uniform(0.01, 0.6, 2)
-            t1, t2 = rng.uniform(0.01, 0.8, 2)
-            mid = uplink_bits_capacity(td, (e1 + e2) / 2, (t1 + t2) / 2, CFG)
-            avg = (uplink_bits_capacity(td, e1, t1, CFG)
-                   + uplink_bits_capacity(td, e2, t2, CFG)) / 2
-            assert mid >= avg - 1e-12 * max(mid, 1.0)
+        e1, e2 = rng.uniform(0.01, 0.6, (2, 200))
+        t1, t2 = rng.uniform(0.01, 0.8, (2, 200))
+        mid = uplink_bits(td, (e1 + e2) / 2, (t1 + t2) / 2)
+        avg = (uplink_bits(td, e1, t1) + uplink_bits(td, e2, t2)) / 2
+        assert np.all(mid >= avg - 1e-12 * np.maximum(mid, 1.0))
 
     def test_zero_time(self):
-        assert uplink_bits_capacity(make_device(), 0.3, 0.0, CFG) == 0.0
+        assert uplink_bits(make_device(), [0.3], [0.0])[0] == 0.0
 
 
 class TestBreakdowns:
     def test_remote_delay(self):
-        td = make_device()
-        row = DeviceAllocation(f_local=1e9, f_remote=1e9, t_transmit=0.1,
-                               e_transmit=0.1, beta=1.0)
-        bd = delay_breakdown(td, row, CFG)
-        assert bd.t_remote == pytest.approx(0.21, rel=1e-12)
+        bd = breakdown(make_device(), t_transmit=0.1, e_transmit=0.1)
+        assert bd[2] == pytest.approx(0.21, rel=1e-12)
 
     def test_local_delay(self):
-        td = make_device()
-        row = DeviceAllocation(f_local=1e9, f_remote=1e9, t_transmit=0.0,
-                               e_transmit=0.0, beta=1.0)
-        bd = delay_breakdown(td, row, CFG)
-        assert bd.t_local == pytest.approx(3e-8, rel=1e-12)
+        assert breakdown(make_device())[0] == pytest.approx(3e-8, rel=1e-12)
 
     def test_zero_task(self):
-        td = make_device(task_bits=0.0)
-        row = DeviceAllocation(f_local=1e9, f_remote=0.0, t_transmit=0.0,
-                               e_transmit=0.0, beta=1.0)
-        bd = delay_breakdown(td, row, CFG)
-        assert (bd.t_local, bd.t_transmit, bd.t_remote, bd.total) == (0, 0, 0, 0)
+        bd = breakdown(make_device(task_bits=0.0), f_remote=0.0)
+        assert bd.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_total_is_exact_sum(self):
         rng = np.random.default_rng(5)
-        td = make_device()
-        for _ in range(50):
-            row = DeviceAllocation(f_local=float(rng.uniform(1e8, 1e9)),
-                                   f_remote=float(rng.uniform(1e8, 1e10)),
-                                   t_transmit=float(rng.uniform(0, 1)),
-                                   e_transmit=float(rng.uniform(0, 0.5)),
-                                   beta=float(rng.uniform(0.6, 1.0)))
-            bd = delay_breakdown(td, row, CFG)
-            assert bd.total == bd.t_local + bd.t_transmit + bd.t_remote
-
-    def test_zero_rate_errors(self):
-        td = make_device()
-        row = DeviceAllocation(f_local=0.0, f_remote=1e9, t_transmit=0.1,
-                               e_transmit=0.1, beta=1.0)
-        with pytest.raises(ValueError):
-            delay_breakdown(td, row, CFG)
+        n = 50
+        alloc = make_alloc(n, f_local=rng.uniform(1e8, 1e9, n),
+                           f_remote=rng.uniform(1e8, 1e10, n),
+                           t_transmit=rng.uniform(0, 1, n), e_transmit=rng.uniform(0, 0.5, n),
+                           beta=rng.uniform(0.6, 1.0, n))
+        rows = delay_breakdown([make_device()] * n, alloc, replace(CFG, n_devices=n))
+        assert rows.shape == (n, 4)
+        for t_local, t_transmit, t_remote, total in rows.tolist():
+            assert total == t_local + t_transmit + t_remote
 
     def test_extraction_energy(self):
-        # a*A*kappa*f^2 = 1e-5 * 3e6 * 1e-26 * 1e18, evaluated independently
-        td = make_device()
-        row = DeviceAllocation(f_local=1e9, f_remote=1e9, t_transmit=0.0,
-                               e_transmit=0.0, beta=1.0)
-        eb = energy_breakdown(td, row, CFG)
-        assert eb.e_compute == pytest.approx(3e-7, rel=1e-12)
+        # a*A*kappa*f^2 = 1e-5 * 3e6 * 1e-26 * 1e18, evaluated independently; read
+        # from the energy slack E - e_extract - e_transmit at a small budget
+        td = make_device(energy_budget=1e-6)
+        slack = log_domain_residuals(make_alloc(), [td], CFG).energy[0]
+        assert td.energy_budget - slack == pytest.approx(3e-7, rel=1e-12)
 
     def test_energy_passthrough_and_zero_task(self):
         td = make_device(task_bits=0.0)
-        row = DeviceAllocation(f_local=1e9, f_remote=0.0, t_transmit=0.0,
-                               e_transmit=0.1, beta=1.0)
-        eb = energy_breakdown(td, row, CFG)
-        assert eb.e_compute == 0.0
-        assert eb.e_transmit == 0.1
+        slack = log_domain_residuals(make_alloc(f_remote=0.0, e_transmit=0.1), [td], CFG).energy
+        assert slack[0] == td.energy_budget - 0.1
+
+    @pytest.mark.parametrize("extraction", [True, False])
+    def test_matches_scalar_formulas(self, extraction):
+        # a device-by-device reference with scalar arithmetic in the same order;
+        # numpy's vectorised power may differ from libm's in the last bit
+        rng = np.random.default_rng(8)
+        devices, cfg = multi_device_draw(rng, 40)
+        devices = [replace(td, task_bits=0.0) if i % 7 == 3 else
+                   replace(td, sem_p=2.0, sem_k=3.5) if i % 5 == 1 else td
+                   for i, td in enumerate(devices)]
+        alloc = (solve if extraction else solve_no_semantic)(devices, cfg).allocation
+        rows = delay_breakdown(devices, alloc, cfg, extraction=extraction)
+        for i, td in enumerate(devices):
+            if td.task_bits == 0:
+                assert rows[i].tolist() == [0.0, 0.0, 0.0, 0.0]
+                continue
+            a, k, p = semantic_constants(td, cfg)
+            beta, f_local = float(alloc.beta[i]), float(alloc.f_local[i])
+            t_local = a * td.task_bits / (beta**k * f_local) if extraction else 0.0
+            t_remote = (td.task_bits * td.intensity * (beta ** (1.0 - p) if extraction else 1.0)
+                        / float(alloc.f_remote[i]))
+            expected = [t_local, float(alloc.t_transmit[i]), t_remote,
+                        t_local + float(alloc.t_transmit[i]) + t_remote]
+            assert rows[i].tolist() == pytest.approx(expected, rel=4 * np.finfo(float).eps,
+                                                     abs=0.0)
 
 
 class TestChannel:

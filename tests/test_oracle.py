@@ -141,6 +141,17 @@ class TestPerturbationCertify:
                              [e_transmit], [beta_off], total)
         assert not perturbation_certify(shifted, [td], cfg, n_probes=500, step=1e-3)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_unused_server_capacity_fails(self, n):
+        # 1 % of the server capacity left idle: scaling every share up at once
+        # lowers the max delay, while the solver's tight split still certifies
+        for seed in range(4):
+            devices, cfg = multi_device_draw(np.random.default_rng(seed), n)
+            alloc = solve(devices, cfg).allocation
+            assert perturbation_certify(alloc, devices, cfg, n_probes=200, step=1e-3)
+            idle = replace(alloc, f_remote=alloc.f_remote * 0.99)
+            assert not perturbation_certify(idle, devices, cfg, n_probes=200, step=1e-3)
+
     def test_zero_probes_vacuous(self, reference_single):
         report = solve(reference_single.devices, reference_single.system)
         assert perturbation_certify(report.allocation, reference_single.devices,
