@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .model import Allocation, SystemConfig, TerminalDevice
-from .solver import (
-    FeasibilityCause,
-    FeasibilityError,
-    SolverReport,
-    _solve_core,
-)
+from .solver import SolverReport, _Scenario, _solve_core, _validate
 
 __all__ = ["solve_no_semantic", "solve_local_only"]
 
@@ -36,24 +30,16 @@ def solve_local_only(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> Solver
 
     The best admissible rate is the hardware cap unless the energy budget
     binds first; raw-data intensity applies since nothing is extracted.
+    Devices without task bits run at the cap in zero time.
     """
-    if len(tds) != cfg.n_devices:
-        raise ValueError(f"scenario lists {len(tds)} devices but n_devices={cfg.n_devices}")
-    n = len(tds)
-    f_local = np.zeros(n)
-    delays = np.zeros(n)
-    for i, td in enumerate(tds):
-        if td.task_bits == 0:
-            f_local[i] = td.f_local_max
-            continue
-        if td.energy_budget <= 0:
-            raise FeasibilityError(i, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
-                                   "no energy for local execution")
-        cycles = td.task_bits * td.intensity
-        f_energy = math.sqrt(td.energy_budget / (td.energy_coeff * cycles))
-        f_local[i] = min(td.f_local_max, f_energy)
-        delays[i] = cycles / f_local[i]
-    objective = float(delays.max()) if n else 0.0
-    allocation = Allocation(f_local, np.zeros(n), np.zeros(n), np.zeros(n),
-                            np.ones(n), objective)
+    _validate(tds, cfg)
+    sc = _Scenario(tds, cfg)
+    cycles = sc.A * sc.I
+    # no cycles (or next to none) make the energy-bound rate infinite, so the cap binds
+    with np.errstate(divide="ignore", over="ignore"):
+        f_local = np.minimum(sc.f_max, np.sqrt(sc.E / (sc.kappa * cycles)))
+    delays = cycles / f_local
+    objective = float(delays.max())
+    allocation = Allocation(f_local, np.zeros(sc.n), np.zeros(sc.n), np.zeros(sc.n),
+                            np.ones(sc.n), objective)
     return SolverReport(allocation, [objective], 1, True, objective - delays)

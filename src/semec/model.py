@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,17 +61,24 @@ class TerminalDevice:
     sem_p: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # chained comparisons also reject NaN; messages are formatted only on
-        # failure, since scenarios build devices by the hundred thousand
-        _require(0 <= self.task_bits < math.inf, "task_bits must be finite and nonnegative")
+        # non-numbers fail the type test and NaN the chained comparisons; both
+        # are inlined, exact-float test first, and messages are formatted only
+        # on failure, since scenarios build devices by the hundred thousand
+        v = self.task_bits
+        if not ((type(v) is float or isinstance(v, Real)) and 0 <= v < math.inf):
+            raise ValueError("task_bits must be finite and nonnegative")
         for name in ("intensity", "energy_coeff", "f_local_max", "p_tx_max",
                      "energy_budget", "channel_gain"):
-            if not 0 < float(getattr(self, name)) < math.inf:
+            v = getattr(self, name)
+            if not ((type(v) is float or isinstance(v, Real)) and 0 < v < math.inf):
                 raise ValueError(f"{name} must be finite and positive")
-        _require(0 < self.beta_min <= 1, "beta_min must lie in (0, 1]")
+        v = self.beta_min
+        if not ((type(v) is float or isinstance(v, Real)) and 0 < v <= 1):
+            raise ValueError("beta_min must lie in (0, 1]")
         for name in ("sem_a", "sem_k", "sem_p"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
+            v = getattr(self, name)
+            if v is not None and not ((type(v) is float or isinstance(v, Real))
+                                      and 0 < v < math.inf):
                 raise ValueError(f"{name} must be finite and positive when given")
 
 
@@ -101,10 +108,12 @@ class SystemConfig:
         for name in ("n_devices", "max_outer_iters"):
             if not (isinstance(getattr(self, name), Integral) and getattr(self, name) >= 1):
                 raise ValueError(f"{name} must be a positive integer")
-        _require(abs(self.noise_psd_dbm_hz) < math.inf, "noise_psd_dbm_hz must be finite")
+        _require(isinstance(self.noise_psd_dbm_hz, Real) and abs(self.noise_psd_dbm_hz) < math.inf,
+                 "noise_psd_dbm_hz must be finite")
         for name in ("bandwidth_hz", "f_mec_total", "sem_a", "sem_k", "sem_p",
                      "eps_bisect_capacity", "eps_outer"):
-            _require(0 < float(getattr(self, name)) < math.inf,
+            value = getattr(self, name)
+            _require(isinstance(value, Real) and 0 < value < math.inf,
                      f"{name} must be finite and positive")
 
     @property

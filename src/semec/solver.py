@@ -4,17 +4,17 @@ The relaxed problem is convex once the extraction factor and the two compute
 rates are substituted by their logarithms, so block-coordinate descent with
 exact block solves converges monotonically. One outer iteration runs:
 
-1. uplink block: per-device smallest transmit time and its energy; at peak
-   power in closed form, and on a binding energy budget by the Lambert-W
-   closed form of the perspective rate equation, solved by monotone Newton;
-2. extraction block: the closed-form optimal factor on its feasible
-   interval, then a per-device joint refinement of (factor, uplink time,
-   uplink energy) that accounts for the induced change of the minimal
-   transmit time (without it the factor cannot leave a tight rate
-   constraint when the remote-intensity exponent is >= 1);
-3. rate block: the energy-capped local rate in closed form, then monotone
+1. extraction block: per device, the exact minimum over the factor of
+   extraction delay + minimal uplink time + remote delay, convex in the log
+   of the factor. The minimal uplink is at peak power in closed form, and on
+   a binding energy budget the Lambert-W closed form of the perspective rate
+   equation, solved by monotone Newton. The block generalizes the paper's
+   closed form (:func:`optimal_beta`), which holds the uplink pair fixed;
+2. rate block: the energy-capped local rate in closed form, then monotone
    Newton on the delay cap that splits the server capacity so every active
    device finishes at the same time.
+
+With the factor pinned (the raw-upload baselines) only the uplink is solved.
 
 Every inner solve runs to relative machine precision and ends on the
 feasible side of its float constraint, so ``eps_bisect_capacity`` is an upper
@@ -105,18 +105,12 @@ class ConstraintResiduals:
     beta_floor: np.ndarray
     beta_ceiling: np.ndarray
 
-    def worst(self) -> float:
-        parts = [self.delay_cap, self.energy, self.rate, self.f_local_cap,
-                 self.e_nonneg, self.e_power_cap, self.beta_floor, self.beta_ceiling]
-        values = [float(np.min(p)) for p in parts if p.size] + [self.capacity]
-        return min(values)
-
 
 class _Scenario:
     """Array view of the device list, precomputed once per solve."""
 
     __slots__ = ("n", "A", "I", "kappa", "f_max", "p_max", "beta_min", "E", "h",
-                 "a", "k", "p", "B", "sigma2", "F", "active", "r_full", "extraction")
+                 "a", "k", "p", "B", "sigma2", "F", "active", "r_full")
 
     def __init__(self, tds: Sequence[TerminalDevice], cfg: SystemConfig, extraction: bool = True):
         self.n = len(tds)
@@ -128,32 +122,30 @@ class _Scenario:
         self.beta_min = np.array([td.beta_min for td in tds], dtype=float)
         self.E = np.array([td.energy_budget for td in tds], dtype=float)
         self.h = np.array([td.channel_gain for td in tds], dtype=float)
-        self.a = np.array([cfg.sem_a if td.sem_a is None else td.sem_a for td in tds])
         self.k = np.array([cfg.sem_k if td.sem_k is None else td.sem_k for td in tds])
-        self.p = np.array([cfg.sem_p if td.sem_p is None else td.sem_p for td in tds])
+        if extraction:
+            self.a = np.array([cfg.sem_a if td.sem_a is None else td.sem_a for td in tds])
+            self.p = np.array([cfg.sem_p if td.sem_p is None else td.sem_p for td in tds])
+        else:
+            # raw upload: a = 0 drops the extraction pass, p = 1 keeps the raw workload A*I
+            self.a = np.zeros(self.n)
+            self.p = np.ones(self.n)
         self.B = cfg.bandwidth_hz
         self.sigma2 = cfg.noise_power_w
         self.F = cfg.f_mec_total
         self.active = self.A > 0
         self.r_full = self.B * np.log2(1.0 + self.h * self.p_max / self.sigma2)
-        self.extraction = extraction
 
 
 def _extraction_energy(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray) -> np.ndarray:
-    if not sc.extraction:
-        return np.zeros(sc.n)
     return np.where(sc.active, sc.a * sc.A * sc.kappa * f_local**2 / beta**sc.k, 0.0)
 
 
 def _t_local(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray) -> np.ndarray:
-    if not sc.extraction:
-        return np.zeros(sc.n)
     return np.where(sc.active, sc.a * sc.A / (beta**sc.k * f_local), 0.0)
 
 
 def _remote_cycles(sc: _Scenario, beta: np.ndarray) -> np.ndarray:
-    if not sc.extraction:
-        return np.where(sc.active, sc.A * sc.I, 0.0)
     return np.where(sc.active, sc.A * sc.I * beta ** (1.0 - sc.p), 0.0)
 
 
@@ -299,9 +291,8 @@ def _remote_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
     return top + delta, f_remote
 
 
-def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit,
-                      fallback_beta: Optional[np.ndarray] = None) -> np.ndarray:
-    act = sc.active
+def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) -> np.ndarray:
+    # only for devices with task bits, as its single caller ensures
     remaining = sc.E - e_transmit
     with np.errstate(divide="ignore", invalid="ignore"):
         eta1 = np.maximum(
@@ -311,23 +302,15 @@ def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit,
         )
         cap_bits = _uplink_bits(sc, e_transmit, t_transmit)
         eta2 = np.minimum(1.0, cap_bits / np.maximum(sc.A, 1e-300))
-    # the interval can come out empty from float cancellation alone when the
-    # uplink spends the whole leftover budget; fall back to the incumbent
-    # factor in that case instead of failing
-    degenerate = act & ((remaining <= 0) | (eta1 > eta2 * (1.0 + 1e-12) + 1e-300))
-    if np.any(degenerate):
-        if fallback_beta is None:
-            idx = int(np.argmax(degenerate))
-            raise FeasibilityError(idx, FeasibilityCause.INVALID_SCENARIO,
-                                   "empty extraction-factor interval")
-        eta1 = np.where(degenerate, fallback_beta, eta1)
-        eta2 = np.where(degenerate, fallback_beta, eta2)
+    empty = (remaining <= 0) | (eta1 > eta2 * (1.0 + 1e-12) + 1e-300)
+    if np.any(empty):
+        raise FeasibilityError(int(np.argmax(empty)), FeasibilityCause.INVALID_SCENARIO,
+                               "empty extraction-factor interval")
     eta1 = np.minimum(eta1, eta2)
     with np.errstate(divide="ignore", invalid="ignore"):
         exponent = 1.0 / (sc.k + 1.0 - sc.p)
         mu = (sc.a * sc.k * f_remote / (f_local * sc.I * (1.0 - sc.p))) ** exponent
-    beta = np.where(sc.p >= 1.0, eta2, np.clip(mu, eta1, eta2))
-    return np.where(act, beta, 1.0)
+    return np.where(sc.p >= 1.0, eta2, np.clip(mu, eta1, eta2))
 
 
 def _uplink_margin(sc: _Scenario, ext_coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -439,8 +422,7 @@ def _refine_block(sc: _Scenario, beta, f_local,
     for trial in (hi, candidate, lo):
         trial_beta = np.where(act, trial, 1.0)
         t_t, e_t = _transmit_block(sc, trial_beta, f_local)
-        val = (_t_local(sc, trial_beta, f_local) + t_t
-               + np.where(act, _remote_cycles(sc, trial_beta) / np.maximum(f_remote, 1e-300), 0.0))
+        val = _delays(sc, trial_beta, f_local, t_t, f_remote)
         better = act & (val < best_val)
         best_beta = np.where(better, trial_beta, best_beta)
         best_t = np.where(better, t_t, best_t)
@@ -512,7 +494,8 @@ def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit
     The feasible interval comes from the energy budget (below) and the
     deliverable-bits cap (above). For remote-intensity exponents >= 1 the
     delay decreases in the factor, so the upper end is optimal; otherwise
-    the interior stationary point is clamped into the interval.
+    the interior stationary point is clamped into the interval. ``solve``
+    uses the exact extraction block, which generalizes this closed form.
     """
     for name, value in (("f_local", f_local), ("f_remote", f_remote)):
         if value <= 0:
@@ -530,6 +513,16 @@ def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit
 def _validate(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> None:
     if len(tds) != cfg.n_devices:
         raise ValueError(f"scenario lists {len(tds)} devices but n_devices={cfg.n_devices}")
+
+
+def _relatively_feasible(r: ConstraintResiduals, sc: _Scenario, alloc: Allocation) -> bool:
+    # each family against its natural size; the log families are relative
+    # already, and a zero size (no uplink time) demands a nonnegative slack
+    pairs = ((r.delay_cap, alloc.t_epigraph), (r.energy, sc.E), (r.rate, alloc.beta * sc.A),
+             (r.f_local_cap, 1.0), (r.capacity, sc.F), (r.e_nonneg, sc.E),
+             (r.e_power_cap, sc.p_max * alloc.t_transmit), (r.beta_floor, 1.0),
+             (r.beta_ceiling, 1.0))
+    return all(np.all(slack >= -1e-9 * size) for slack, size in pairs)
 
 
 def _initial_local_rate(sc: _Scenario) -> np.ndarray:
@@ -558,8 +551,7 @@ def _solve_core(tds: Sequence[TerminalDevice], cfg: SystemConfig, *,
     if initial is not None:
         if initial.n_devices != sc.n:
             raise ValueError("initial allocation has the wrong number of devices")
-        residuals = log_domain_residuals(initial, tds, cfg)
-        if residuals.worst() < -1e-9:
+        if not _relatively_feasible(log_domain_residuals(initial, tds, cfg), sc, initial):
             raise FeasibilityError(-1, FeasibilityCause.INVALID_SCENARIO,
                                    "initial allocation is infeasible")
         beta = initial.beta.copy()
@@ -577,10 +569,11 @@ def _solve_core(tds: Sequence[TerminalDevice], cfg: SystemConfig, *,
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_outer_iters + 1):
-        t_transmit, e_transmit = _transmit_block(sc, beta, f_local)
-        if not freeze_beta:
-            beta = _beta_closed_form(sc, f_local, f_remote, t_transmit, e_transmit,
-                                     fallback_beta=beta)
+        if freeze_beta:
+            t_transmit, e_transmit = _transmit_block(sc, beta, f_local)
+        else:
+            # the incumbent factor stays feasible: the local-rate block spends
+            # only the energy that the uplink leaves over
             beta, t_transmit, e_transmit = _refine_block(sc, beta, f_local, f_remote)
         if extraction:
             f_local = _local_rate_block(sc, beta, e_transmit)

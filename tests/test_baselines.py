@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,25 @@ class TestLocalOnly:
     def test_zero_task(self):
         report = solve_local_only([make_device(task_bits=0.0)], CFG)
         assert report.objective_trace[-1] == 0.0
+
+    def test_matches_per_device_loop(self):
+        # mixed zero, energy-capped and hardware-capped devices, checked bit for
+        # bit against the per-device scalar formulas
+        from dataclasses import replace
+        tds, cfg = multi_device_draw(np.random.default_rng(5), n=6)
+        tds = (replace(tds[0], task_bits=0.0), replace(tds[1], energy_budget=50.0)) + tds[2:]
+        report = solve_local_only(tds, cfg)
+        f_local, delays = [], []
+        for td in tds:
+            cycles = td.task_bits * td.intensity
+            f = td.f_local_max if cycles == 0 else min(
+                td.f_local_max, math.sqrt(td.energy_budget / (td.energy_coeff * cycles)))
+            f_local.append(f)
+            delays.append(cycles / f)
+        assert report.allocation.f_local.tolist() == f_local
+        assert report.objective_trace == [max(delays)]
+        assert report.tightness_residuals.tolist() == [max(delays) - d for d in delays]
+        assert f_local[1] == tds[1].f_local_max and delays[0] == 0.0
 
     def test_no_transmission_no_server(self):
         report = solve_local_only([make_device()], CFG)

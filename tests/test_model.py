@@ -87,6 +87,27 @@ class TestValidation:
             with pytest.raises(ValueError, match=name):
                 SystemConfig(**fields)
 
+    @pytest.mark.parametrize("name", ["task_bits", "intensity", "energy_coeff", "f_local_max",
+                                      "p_tx_max", "beta_min", "energy_budget", "channel_gain",
+                                      "sem_a", "sem_k", "sem_p"])
+    def test_device_fields_must_be_numbers(self, name):
+        for value in ("0.5", 0.5j, [0.5]):
+            with pytest.raises(ValueError, match=name):
+                make_device(**{name: value})
+
+    @pytest.mark.parametrize("name", ["bandwidth_hz", "noise_psd_dbm_hz", "f_mec_total",
+                                      "sem_a", "sem_k", "sem_p", "eps_bisect_capacity",
+                                      "eps_outer"])
+    def test_config_fields_must_be_numbers(self, name):
+        for value in ("0.5", 0.5j, [0.5]):
+            with pytest.raises(ValueError, match=name):
+                SystemConfig(n_devices=1, **{name: value})
+
+    def test_integers_and_numpy_floats_are_numbers(self):
+        td = make_device(task_bits=3_000_000, intensity=np.float32(70.0), sem_k=4)
+        cfg = SystemConfig(n_devices=1, bandwidth_hz=np.float64(1e6), noise_psd_dbm_hz=-174)
+        assert solve([td], cfg).converged
+
 
 class TestExtractionWorkload:
     """The extraction workload a*A/beta^k, read as t_local at f_local = 1 Hz."""
@@ -178,6 +199,12 @@ class TestBreakdowns:
     def test_zero_task(self):
         bd = breakdown(make_device(task_bits=0.0), f_remote=0.0)
         assert bd.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_raw_upload_ignores_the_factor(self):
+        # without an extraction pass the server runs the raw A*I cycles
+        td = make_device(sem_p=3.0)
+        rows = delay_breakdown([td], make_alloc(beta=0.5, t_transmit=0.1), CFG, extraction=False)
+        assert rows[0].tolist() == [0.0, 0.1, 3e6 * 70.0 / 1e9, 0.1 + 3e6 * 70.0 / 1e9]
 
     def test_total_is_exact_sum(self):
         rng = np.random.default_rng(5)

@@ -382,6 +382,34 @@ class TestSolve:
             first.objective_trace[-1], rel=1e-9)
         assert second.objective_trace[-1] <= first.objective_trace[-1] + 1e-12
 
+    @pytest.mark.parametrize("task_bits, energy_budget", [(3e7, 5.0), (1e8, 50.0), (3e8, 50.0)])
+    def test_restart_from_own_output_on_large_tasks(self, reference, task_bits, energy_budget):
+        # the rate slack is a few -1e-9 bits here, about -1e-16 of the bits carried
+        devices = tuple(replace(td, task_bits=task_bits, energy_budget=energy_budget)
+                        for td in reference.devices)
+        first = solve(devices, reference.system)
+        second = solve(devices, reference.system, initial=first.allocation)
+        assert second.objective_trace[-1] == pytest.approx(
+            first.objective_trace[-1], rel=1e-12)
+        assert second.iterations == 1
+
+    def test_relatively_short_uplink_rejected(self, reference):
+        # the same power for a 1e-6 shorter time carries about 1e-6 fewer bits
+        alloc = solve(reference.devices, reference.system).allocation
+        scale = 1.0 - 1e-6
+        short = replace(alloc, t_transmit=alloc.t_transmit * scale,
+                        e_transmit=alloc.e_transmit * scale)
+        with pytest.raises(FeasibilityError, match="initial allocation is infeasible"):
+            solve(reference.devices, reference.system, initial=short)
+
+    def test_nan_initial_rejected(self, reference):
+        alloc = solve(reference.devices, reference.system).allocation
+        t_transmit = alloc.t_transmit.copy()
+        t_transmit[3] = math.nan
+        with pytest.raises(FeasibilityError, match="initial allocation is infeasible"):
+            solve(reference.devices, reference.system,
+                  initial=replace(alloc, t_transmit=t_transmit))
+
     def test_zero_bit_tasks(self):
         cfg = SystemConfig(n_devices=2)
         tds = [make_device(task_bits=0.0), make_device(task_bits=0.0)]
