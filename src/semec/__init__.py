@@ -12,7 +12,7 @@ from .bench import (
     run_sweep,
     reference_scenario,
 )
-from .model import Allocation, SystemConfig, TerminalDevice, generate_channel_gains
+from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice, generate_channel_gains
 from .oracle import GridSpec, default_grid_bounds, grid_optimum, perturbation_certify
 from .solver import (
     ConstraintResiduals,
@@ -31,6 +31,7 @@ from .solver import (
 __all__ = [
     "Allocation",
     "ConstraintResiduals",
+    "DeviceTable",
     "FeasibilityCause",
     "FeasibilityError",
     "GridSpec",

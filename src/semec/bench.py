@@ -4,21 +4,24 @@ A scenario is one JSON document with three sections: ``system`` (shared
 parameters), ``devices`` (an explicit list or a uniform template plus
 count), and ``channel`` (explicit gains, or distances from which gains are
 derived, optionally with a fading seed). Omitted fields fall back to the
-reference simulation defaults baked into the dataclass definitions.
+reference simulation defaults baked into the dataclass definitions. The
+devices load into one :class:`DeviceTable`, column by column.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .baselines import solve_local_only, solve_no_semantic
-from .model import SystemConfig, TerminalDevice, generate_channel_gains
+from .model import DeviceTable, SystemConfig, check_device_field, generate_channel_gains
 from .oracle import perturbation_certify
 from .solver import FeasibilityError, SolverReport, delay_breakdown, solve
 
@@ -34,6 +37,7 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "dump_scenario",
+    "validate_sweep",
     "run_sweep",
     "emit_csv",
 ]
@@ -47,6 +51,7 @@ SWEEPABLE_PARAMS = _DEVICE_PARAMS + _SYSTEM_PARAMS
 _DEVICE_FIELDS = ("task_bits", "intensity", "energy_coeff", "f_local_max",
                   "p_tx_max", "beta_min", "energy_budget")
 _SEM_FIELDS = ("sem_a", "sem_k", "sem_p")  # per-device overrides; null defers to the system
+_ENTRY_FIELDS = _DEVICE_FIELDS + _SEM_FIELDS
 _SYSTEM_FIELDS = tuple(f.name for f in fields(SystemConfig))
 
 _REFERENCE_DEVICE = {
@@ -66,12 +71,19 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved experiment setup."""
+    """A fully resolved experiment setup.
+
+    ``devices`` is a :class:`DeviceTable`; a sequence of devices given in
+    its place is converted to one.
+    """
 
     system: SystemConfig
-    devices: Tuple[TerminalDevice, ...]
+    devices: DeviceTable
     channel: Dict[str, object]
     label: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "devices", DeviceTable.from_devices(self.devices))
 
 
 @dataclass(frozen=True)
@@ -140,14 +152,23 @@ def _numbers(values: object, n: int, where: str) -> np.ndarray:
     return out.astype(float, copy=False)
 
 
-def _device_from_dict(entry: dict, gain: float, index: int) -> TerminalDevice:
-    _check_keys(entry, _DEVICE_FIELDS + _SEM_FIELDS, f"devices[{index}]")
-    merged = dict(_REFERENCE_DEVICE)
-    merged.update(entry)
-    try:
-        return TerminalDevice(channel_gain=gain, **merged)
-    except ValueError as exc:
-        raise ScenarioError(f"devices[{index}]: {exc}") from exc
+def _uniform_table(template: dict, gains: np.ndarray) -> DeviceTable:
+    # every device is the template, so device 0 speaks for all
+    _check_keys(template, _ENTRY_FIELDS, "devices[0]")
+    return DeviceTable(channel_gain=gains, **{**_REFERENCE_DEVICE, **template})
+
+
+def _listed_table(entries: List[dict], gains: np.ndarray) -> DeviceTable:
+    # devices are checked in order, each for unknown fields before its values
+    allowed = set(_ENTRY_FIELDS)
+    known = next((i for i, entry in enumerate(entries) if not entry.keys() <= allowed),
+                 len(entries))
+    table = DeviceTable(channel_gain=gains[:known], **{
+        name: [entry.get(name, _REFERENCE_DEVICE.get(name)) for entry in entries[:known]]
+        for name in _ENTRY_FIELDS})
+    if known < len(entries):
+        _check_keys(entries[known], _ENTRY_FIELDS, f"devices[{known}]")
+    return table
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -167,13 +188,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioError(
                 f"devices.count or system.n_devices must give an integer count, not {count!r}")
         uniform = _fields(devices_doc["uniform"], "devices.uniform", _SEM_FIELDS)
-        entries = [dict(uniform) for _ in range(count)]
+        n = max(count, 0)
+        build_table = partial(_uniform_table, uniform)
     elif isinstance(devices_doc, list):
         entries = [_fields(e, f"devices[{i}]", _SEM_FIELDS) for i, e in enumerate(devices_doc)]
+        n = len(entries)
+        build_table = partial(_listed_table, entries)
     else:
         raise ScenarioError("devices must be a list or a uniform template mapping")
 
-    n = len(entries)
     system_doc.setdefault("n_devices", n)
     try:
         system = SystemConfig(**system_doc)
@@ -213,8 +236,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"channel.fading_seed: {exc}") from exc
 
-    devices = tuple(_device_from_dict(entry, float(gains[i]), i)
-                    for i, entry in enumerate(entries))
+    try:
+        devices = build_table(gains)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     channel_record = {k: (list(map(float, v)) if isinstance(v, (list, tuple)) else v)
                       for k, v in channel.items()}
     return Scenario(system=system, devices=devices, channel=channel_record, label=label)
@@ -223,14 +248,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical plain-dict form; loading it back reproduces the scenario."""
     system = {name: getattr(scenario.system, name) for name in _SYSTEM_FIELDS}
-    devices = []
-    for td in scenario.devices:
-        entry = {name: getattr(td, name) for name in _DEVICE_FIELDS}
-        for name in ("sem_a", "sem_k", "sem_p"):
-            value = getattr(td, name)
-            if value is not None:
-                entry[name] = value
-        devices.append(entry)
+    rows = zip(*(getattr(scenario.devices, name).tolist() for name in _ENTRY_FIELDS))
+    # a NaN override defers to the system, and the dump leaves it out
+    devices = [{name: value for name, value in zip(_ENTRY_FIELDS, row) if not math.isnan(value)}
+               for row in rows]
     return {
         "label": scenario.label,
         "system": system,
@@ -262,9 +283,17 @@ def dump_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
 
 def _override(scenario: Scenario, param: str, value: float) -> Scenario:
     if param in _DEVICE_PARAMS:
-        devices = tuple(replace(td, **{param: value}) for td in scenario.devices)
-        return replace(scenario, devices=devices)
+        return replace(scenario, devices=scenario.devices.replace(**{param: value}))
     return replace(scenario, system=replace(scenario.system, **{param: value}))
+
+
+def validate_sweep(scenario: Scenario, sweep: SweepSpec) -> None:
+    """Raise ValueError, naming the field, if a sweep value is out of its range."""
+    for value in sweep.values:
+        if sweep.param in _DEVICE_PARAMS:
+            check_device_field(sweep.param, value)
+        else:
+            replace(scenario.system, **{sweep.param: value})
 
 
 def _run_algorithm(scenario: Scenario, algorithm: str) -> SolverReport:
@@ -283,7 +312,7 @@ def _breakdown(scenario: Scenario, algorithm: str, report: SolverReport) -> np.n
         return delay_breakdown(scenario.devices, alloc, scenario.system,
                                extraction=algorithm == "semantic")
     # local execution runs the raw task on the device: [A*I/f_local, 0, 0, A*I/f_local]
-    cycles = np.fromiter((td.task_bits * td.intensity for td in scenario.devices), float)
+    cycles = scenario.devices.task_bits * scenario.devices.intensity
     rows = np.zeros((cycles.size, 4))
     rows[:, 0] = rows[:, 3] = cycles / alloc.f_local
     return rows
@@ -301,11 +330,13 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, algorithms: Sequence[str],
     Cells are deterministic given (scenario, sweep): channel gains, fading
     included, are resolved when the scenario is loaded, so re-running a
     sweep always reproduces its CSV. ``verify`` runs the perturbation
-    certificate on each semantic solve.
+    certificate on each semantic solve. An unknown algorithm or a sweep value
+    out of range raises ValueError before any cell is solved.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    validate_sweep(scenario, sweep)
     results: List[SweepResult] = []
     for value in sweep.values:
         cell_scenario = _override(scenario, sweep.param, value)

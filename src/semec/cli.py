@@ -14,6 +14,7 @@ from .bench import (
     emit_csv,
     load_scenario,
     run_sweep,
+    validate_sweep,
 )
 
 
@@ -63,7 +64,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         scenario = replace(scenario, system=replace(scenario.system, **overrides))
-    except (OSError, ValueError) as exc:  # ScenarioError, or an override out of range
+        if args.sweep is not None:
+            validate_sweep(scenario, args.sweep)
+    except (OSError, ValueError) as exc:  # ScenarioError, or an override or sweep value
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,14 +11,18 @@ joules, watts, CPU cycles, and dimensionless linear power gains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
-from typing import Optional, Sequence
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "TerminalDevice",
+    "DeviceTable",
+    "check_device_field",
     "SystemConfig",
     "Allocation",
     "noise_power_watts",
@@ -32,6 +36,44 @@ _DBM_PER_WATT = 30.0
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
+
+
+_OVERRIDES = ("sem_a", "sem_k", "sem_p")  # per-device; None defers to the system
+
+
+_TINY = np.nextafter(0.0, 1.0)  # the least float above zero
+_HUGE = np.finfo(float).max  # the greatest finite float
+
+# the closed range [lo, hi] each device field must lie in, with open ends
+# written as the nearest float inside them (NaN fails both comparisons), and
+# the message naming the field; in the order the fields are checked
+_DEVICE_RULES = {
+    "task_bits": (0.0, _HUGE, "must be finite and nonnegative"),
+    **{name: (_TINY, _HUGE, "must be finite and positive")
+       for name in ("intensity", "energy_coeff", "f_local_max", "p_tx_max", "energy_budget",
+                    "channel_gain")},
+    "beta_min": (_TINY, 1.0, "must lie in (0, 1]"),
+    **{name: (_TINY, _HUGE, "must be finite and positive when given") for name in _OVERRIDES},
+}
+
+
+_RANKS = {name: rank for rank, name in enumerate(_DEVICE_RULES)}
+_BOUNDS = np.array([rule[:2] for rule in _DEVICE_RULES.values()]).T  # (lo, hi) by rank
+
+
+def check_device_field(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` may be the device field ``name``.
+
+    ``None`` is admissible for the semantic overrides alone; NaN never is.
+    """
+    lo, hi, message = _DEVICE_RULES[name]
+    try:
+        # exact floats skip the slower abstract type test
+        admitted = (type(value) is float or isinstance(value, Real)) and lo <= value <= hi
+    except OverflowError:  # an integer beyond every float
+        admitted = False
+    if not (admitted or value is None and name in _OVERRIDES):
+        raise ValueError(f"{name} {message}")
 
 
 @dataclass(frozen=True)
@@ -61,25 +103,161 @@ class TerminalDevice:
     sem_p: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # non-numbers fail the type test and NaN the chained comparisons; both
-        # are inlined, exact-float test first, and messages are formatted only
-        # on failure, since scenarios build devices by the hundred thousand
-        v = self.task_bits
-        if not ((type(v) is float or isinstance(v, Real)) and 0 <= v < math.inf):
-            raise ValueError("task_bits must be finite and nonnegative")
-        for name in ("intensity", "energy_coeff", "f_local_max", "p_tx_max",
-                     "energy_budget", "channel_gain"):
-            v = getattr(self, name)
-            if not ((type(v) is float or isinstance(v, Real)) and 0 < v < math.inf):
-                raise ValueError(f"{name} must be finite and positive")
-        v = self.beta_min
-        if not ((type(v) is float or isinstance(v, Real)) and 0 < v <= 1):
-            raise ValueError("beta_min must lie in (0, 1]")
-        for name in ("sem_a", "sem_k", "sem_p"):
-            v = getattr(self, name)
-            if v is not None and not ((type(v) is float or isinstance(v, Real))
-                                      and 0 < v < math.inf):
-                raise ValueError(f"{name} must be finite and positive when given")
+        for name in _DEVICE_RULES:
+            check_device_field(name, getattr(self, name))
+
+
+_FIELDS = tuple(f.name for f in fields(TerminalDevice))
+_REQUIRED = len(_FIELDS) - len(_OVERRIDES)
+_ITER_BLOCK = 1024  # rows converted to Python floats at a time while iterating
+
+
+def _checked(columns: Dict[str, object], n: int) -> Dict[str, np.ndarray]:
+    """Read-only float64 columns of ``n`` devices, checked by the device rules.
+
+    A single number fills its column. Only an override column takes None,
+    whole or per device.
+    """
+    unknown = sorted(set(columns) - set(_FIELDS))
+    if unknown:
+        raise TypeError(f"unknown device field(s) {unknown}")
+    names = [name for name in _DEVICE_RULES if name in columns]
+    matrix = np.empty((len(names), n))
+    given = np.ones((len(names), n), dtype=bool)
+    for row, name in enumerate(names):
+        values = columns[name]
+        if name in _OVERRIDES and values is None:
+            given[row] = False
+            continue
+        if name in _OVERRIDES and isinstance(values, (list, tuple)):
+            given[row] = [v is not None for v in values]
+            values = [0.0 if v is None else v for v in values]
+        values = np.asarray(values)
+        if values.dtype.kind not in "biuf" or values.shape not in ((), (n,)):
+            raise ValueError(f"{name} must be one number or {n} numbers")
+        matrix[row] = values
+    return _validated(names, matrix, given)
+
+
+def _validated(names: Sequence[str], matrix: np.ndarray,
+               given: np.ndarray) -> Dict[str, np.ndarray]:
+    """The rows of ``matrix`` as read-only columns, once they obey the rules.
+
+    Entries that are not ``given`` are deferring overrides and become NaN. A
+    violation names the first failing device and its first failing field,
+    as checking device after device would.
+    """
+    lo, hi = _BOUNDS[:, [_RANKS[name] for name in names], None]
+    bad = given & ~((lo <= matrix) & (matrix <= hi))
+    failing = bad.any(axis=0)
+    if failing.any():
+        i = int(failing.argmax())
+        name = names[int(bad[:, i].argmax())]
+        raise ValueError(f"devices[{i}]: {name} {_DEVICE_RULES[name][2]}")
+    matrix[~given] = math.nan
+    matrix.flags.writeable = False
+    return dict(zip(names, matrix))
+
+
+def _device(*values: float) -> TerminalDevice:
+    # the override columns come last, and NaN there defers to the system
+    return TerminalDevice(*values[:_REQUIRED],
+                          *(None if math.isnan(v) else v for v in values[_REQUIRED:]))
+
+
+class DeviceTable(Sequence):
+    """The devices of a scenario as validated, read-only float64 columns.
+
+    There is one column per :class:`TerminalDevice` field, named after it,
+    and every entry obeys that field's rule; a violation raises ValueError
+    naming the first failing device, ``devices[i]: <field> must ...``. An
+    override column (``sem_a``, ``sem_k``, ``sem_p``) holds NaN where the
+    device defers to the system-wide value. As input, deferring is spelled
+    ``None``: a NaN is rejected like any other non-finite value.
+
+    The table is a sequence of devices: ``table[i]`` and iteration give equal
+    :class:`TerminalDevice` objects. The solver, baselines and oracle read
+    the columns.
+    """
+
+    __slots__ = _FIELDS
+
+    def __init__(self, **columns: object) -> None:
+        """Take the columns by field name.
+
+        Each column lists one number per device or gives one number for all,
+        and at least one column lists. An override column may be left out or
+        None (every device defers), or list None for a device that defers.
+        """
+        missing = [name for name in _FIELDS if name not in columns and name not in _OVERRIDES]
+        if missing:
+            raise TypeError(f"missing device column(s) {missing}")
+        lengths = [len(v) for v in columns.values() if isinstance(v, (list, tuple)) or np.ndim(v)]
+        if not lengths:
+            raise ValueError("at least one column must list one number per device")
+        for name, column in _checked({name: None for name in _OVERRIDES} | columns,
+                                     lengths[0]).items():
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def _of(cls, columns: Dict[str, np.ndarray]) -> "DeviceTable":
+        table = object.__new__(cls)
+        for name, column in columns.items():
+            object.__setattr__(table, name, column)
+        return table
+
+    @classmethod
+    def from_devices(cls, devices: Iterable[TerminalDevice]) -> "DeviceTable":
+        """The table of the given devices; a table is returned as it is."""
+        if isinstance(devices, DeviceTable):
+            return devices
+        devices = tuple(devices)
+        names = tuple(_DEVICE_RULES)  # the overrides come last
+        matrix = np.array([[getattr(td, name) for td in devices] for name in names], dtype=float)
+        given = np.ones(matrix.shape, dtype=bool)
+        given[-len(_OVERRIDES):] = [[getattr(td, name) is not None for td in devices]
+                                    for name in _OVERRIDES]
+        return cls._of(_validated(names, matrix, given))
+
+    def replace(self, **columns: object) -> "DeviceTable":
+        """A table with the given columns replaced; only those are checked."""
+        kept = {name: getattr(self, name) for name in _FIELDS}
+        return DeviceTable._of({**kept, **_checked(columns, len(self))})
+
+    def semantic_constants(self, cfg: SystemConfig) -> Tuple[np.ndarray, ...]:
+        """Effective (a, k, p) per device, honoring per-device overrides."""
+        return tuple(np.where(np.isnan(getattr(self, name)), getattr(cfg, name),
+                              getattr(self, name)) for name in _OVERRIDES)
+
+    def __len__(self) -> int:
+        return self.task_bits.shape[0]
+
+    def __getitem__(self, index: int) -> TerminalDevice:
+        i = operator.index(index)
+        return _device(*(float(getattr(self, name)[i]) for name in _FIELDS))
+
+    def __iter__(self) -> Iterator[TerminalDevice]:
+        # rows are built a block at a time, so no per-device lists pile up
+        for start in range(0, len(self), _ITER_BLOCK):
+            yield from map(_device, *(getattr(self, name)[start:start + _ITER_BLOCK].tolist()
+                                      for name in _FIELDS))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeviceTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+                   for name in _FIELDS)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("DeviceTable is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("DeviceTable is read-only")
+
+    def __repr__(self) -> str:
+        return f"DeviceTable(<{len(self)} devices>)"
 
 
 @dataclass(frozen=True)

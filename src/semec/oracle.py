@@ -5,7 +5,7 @@ for one- and two-device instances, and a random feasible-perturbation check
 that certifies first-order optimality of a given allocation. Both evaluate
 constraints from the raw closed forms, never through solver shortcuts.
 
-The perturbation check gathers the device parameters into arrays once and
+The perturbation check reads the device parameters from the device table and
 evaluates its probes in blocks of bounded size; it stops after the first
 block that holds a feasible improving probe, which gives the same answer as
 checking the probes one by one and stopping at the first improving one.
@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Allocation, SystemConfig, TerminalDevice, semantic_constants
+from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice, semantic_constants
 from .solver import FeasibilityCause, FeasibilityError
 
 __all__ = ["GridSpec", "default_grid_bounds", "grid_optimum", "perturbation_certify"]
@@ -203,7 +203,7 @@ _SERVER_AXIS = 2  # f_remote in a (5, n) probe
 
 
 class _DeviceArrays:
-    """Device parameters as arrays, gathered once per certificate.
+    """Device parameters as arrays, taken once per certificate from the table.
 
     Probes are stacked as ``(rows, 5, n)`` in the order (beta, f_local,
     f_remote, t_transmit, e_transmit). Devices without task bits enter the
@@ -211,27 +211,23 @@ class _DeviceArrays:
     """
 
     def __init__(self, tds: Sequence[TerminalDevice], cfg: SystemConfig) -> None:
-        n = len(tds)
-
-        def column(name: str) -> np.ndarray:
-            return np.fromiter((getattr(td, name) for td in tds), float, n)
-
-        a, k, p = np.array([semantic_constants(td, cfg) for td in tds], float).reshape(n, 3).T
-        bits = column("task_bits")
-        self.n = n
-        self.beta_min = column("beta_min")
-        self.f_local_max = column("f_local_max")
-        self.p_tx_max = column("p_tx_max")
+        table = DeviceTable.from_devices(tds)
+        a, k, p = table.semantic_constants(cfg)
+        bits = table.task_bits
+        self.n = len(table)
+        self.beta_min = table.beta_min
+        self.f_local_max = table.f_local_max
+        self.p_tx_max = table.p_tx_max
         self.work = np.flatnonzero(bits != 0)
         w = self.work
         self.task_bits = bits[w]
         self.extract_cycles = a[w] * bits[w]
-        self.extract_coeff = self.extract_cycles * column("energy_coeff")[w]
-        self.server_cycles = bits[w] * column("intensity")[w]
+        self.extract_coeff = self.extract_cycles * table.energy_coeff[w]
+        self.server_cycles = bits[w] * table.intensity[w]
         self.k = k[w]
         self.q = 1.0 - p[w]
-        self.energy_budget = column("energy_budget")[w]
-        self.channel_gain = column("channel_gain")[w]
+        self.energy_budget = table.energy_budget[w]
+        self.channel_gain = table.channel_gain[w]
         self.f_mec_total = cfg.f_mec_total
         self.bandwidth_hz = cfg.bandwidth_hz
         self.noise_power_w = cfg.noise_power_w

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .model import Allocation, SystemConfig, TerminalDevice
+from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice
 
 __all__ = [
     "FeasibilityCause",
@@ -107,26 +107,24 @@ class ConstraintResiduals:
 
 
 class _Scenario:
-    """Array view of the device list, precomputed once per solve."""
+    """Array view of the device table and the system, made once per solve."""
 
     __slots__ = ("n", "A", "I", "kappa", "f_max", "p_max", "beta_min", "E", "h",
                  "a", "k", "p", "B", "sigma2", "F", "active", "r_full")
 
     def __init__(self, tds: Sequence[TerminalDevice], cfg: SystemConfig, extraction: bool = True):
-        self.n = len(tds)
-        self.A = np.array([td.task_bits for td in tds], dtype=float)
-        self.I = np.array([td.intensity for td in tds], dtype=float)
-        self.kappa = np.array([td.energy_coeff for td in tds], dtype=float)
-        self.f_max = np.array([td.f_local_max for td in tds], dtype=float)
-        self.p_max = np.array([td.p_tx_max for td in tds], dtype=float)
-        self.beta_min = np.array([td.beta_min for td in tds], dtype=float)
-        self.E = np.array([td.energy_budget for td in tds], dtype=float)
-        self.h = np.array([td.channel_gain for td in tds], dtype=float)
-        self.k = np.array([cfg.sem_k if td.sem_k is None else td.sem_k for td in tds])
-        if extraction:
-            self.a = np.array([cfg.sem_a if td.sem_a is None else td.sem_a for td in tds])
-            self.p = np.array([cfg.sem_p if td.sem_p is None else td.sem_p for td in tds])
-        else:
+        table = DeviceTable.from_devices(tds)
+        self.n = len(table)
+        self.A = table.task_bits
+        self.I = table.intensity
+        self.kappa = table.energy_coeff
+        self.f_max = table.f_local_max
+        self.p_max = table.p_tx_max
+        self.beta_min = table.beta_min
+        self.E = table.energy_budget
+        self.h = table.channel_gain
+        self.a, self.k, self.p = table.semantic_constants(cfg)
+        if not extraction:
             # raw upload: a = 0 drops the extraction pass, p = 1 keeps the raw workload A*I
             self.a = np.zeros(self.n)
             self.p = np.ones(self.n)
@@ -541,6 +539,7 @@ def _solve_core(tds: Sequence[TerminalDevice], cfg: SystemConfig, *,
                 extraction: bool = True, freeze_beta: bool = False,
                 initial: Optional[Allocation] = None) -> SolverReport:
     _validate(tds, cfg)
+    tds = DeviceTable.from_devices(tds)
     sc = _Scenario(tds, cfg, extraction)
 
     if not np.any(sc.active):

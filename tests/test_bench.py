@@ -17,6 +17,7 @@ from semec import (
     reference_scenario,
     run_sweep,
     solve,
+    solve_local_only,
 )
 from semec.bench import scenario_from_dict
 from semec.cli import main as cli_main
@@ -199,6 +200,12 @@ class TestRunSweep:
             assert r.max_delay_s == report.allocation.t_epigraph
             assert r.per_device_breakdown.shape == (len(devices), 4)
 
+    def test_local_max_delay_is_local_only_objective(self, reference):
+        # the local rows read A*I from the device table's columns
+        r, = run_sweep(reference, SweepSpec("energy_budget", (0.3,)), ["local"])
+        devices = reference.devices.replace(energy_budget=0.3)
+        assert r.max_delay_s == solve_local_only(devices, reference.system).allocation.t_epigraph
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ScenarioError, match="unknown sweep parameter"):
             SweepSpec("bandwidth_hz", (1e6,))
@@ -299,7 +306,10 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,value,field", [("--max-iters", "0", "max_outer_iters"),
                                                   ("--eps1", "-1", "eps_bisect_capacity"),
-                                                  ("--eps-outer", "nan", "eps_outer")])
+                                                  ("--eps-outer", "nan", "eps_outer"),
+                                                  ("--sweep", "energy_budget=0.5,-1",
+                                                   "energy_budget"),
+                                                  ("--sweep", "sem_k=0", "sem_k")])
     def test_bad_override_is_an_error_not_a_traceback(self, tmp_path, capsys, flag, value,
                                                       field):
         out = tmp_path / "bad.csv"

@@ -183,7 +183,7 @@ class TestPerturbationCertify:
         devices, cfg = reference_single.devices, reference_single.system
         alloc = solve(devices, cfg).allocation
         if malform == "length":
-            devices = devices * 2
+            devices = tuple(devices) * 2
         elif malform == "nan":
             alloc = replace(alloc, f_local=np.array([np.nan]))
         else:
