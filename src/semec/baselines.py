@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Allocation, SystemConfig, TerminalDevice
-from .solver import SolverReport, _Scenario, _solve_core, _validate
+from .solver import SolverReport, _Scenario, _solve_core
 
 __all__ = ["solve_no_semantic", "solve_local_only"]
 
@@ -32,7 +32,6 @@ def solve_local_only(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> Solver
     binds first; raw-data intensity applies since nothing is extracted.
     Devices without task bits run at the cap in zero time.
     """
-    _validate(tds, cfg)
     sc = _Scenario(tds, cfg)
     cycles = sc.A * sc.I
     # no cycles (or next to none) make the energy-bound rate infinite, so the cap binds

@@ -5,7 +5,9 @@ parameters), ``devices`` (an explicit list or a uniform template plus
 count), and ``channel`` (explicit gains, or distances from which gains are
 derived, optionally with a fading seed). Omitted fields fall back to the
 reference simulation defaults baked into the dataclass definitions. The
-devices load into one :class:`DeviceTable`, column by column.
+devices load into one :class:`DeviceTable`, column by column. The device
+count is the number of devices; ``system.n_devices`` may state it, and is
+then checked against it.
 """
 
 from __future__ import annotations
@@ -119,7 +121,6 @@ def reference_scenario(n_devices: int = 10, label: str = "reference-baseline") -
     """The reference setup: uniform devices, distances evenly in [120, 255] m."""
     return scenario_from_dict({
         "label": label,
-        "system": {"n_devices": n_devices},
         "devices": {"uniform": dict(_REFERENCE_DEVICE), "count": n_devices},
         "channel": {"distances_m": {"linspace": [120.0, 255.0]}},
     })
@@ -176,7 +177,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     label = str(doc.get("label", ""))
 
     system_doc = _fields(doc.get("system", {}), "system")
-    _check_keys(system_doc, _SYSTEM_FIELDS, "system")
+    _check_keys(system_doc, _SYSTEM_FIELDS + ("n_devices",), "system")
 
     devices_doc = doc.get("devices")
     if isinstance(devices_doc, dict):
@@ -197,14 +198,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         raise ScenarioError("devices must be a list or a uniform template mapping")
 
-    system_doc.setdefault("n_devices", n)
+    declared = system_doc.pop("n_devices", n)
+    if not (isinstance(declared, int) and declared >= 1):
+        raise ScenarioError("system: n_devices must be a positive integer")
+    if declared != n:
+        raise ScenarioError(f"system.n_devices={declared} but {n} device entries were given")
     try:
         system = SystemConfig(**system_doc)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"system: {exc}") from exc
-    if system.n_devices != n:
-        raise ScenarioError(
-            f"system.n_devices={system.n_devices} but {n} device entries were given")
 
     channel = doc.get("channel")
     if not isinstance(channel, dict):
@@ -226,15 +228,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if isinstance(spec, dict):
             _check_keys(spec, ("linspace",), "channel.distances_m")
             lo, hi = _numbers(spec.get("linspace"), 2, "channel.distances_m.linspace")
-            distances = np.linspace(lo, hi, n)
+            with np.errstate(invalid="ignore"):  # a non-finite end gives NaN, rejected below
+                distances = np.linspace(lo, hi, n)
         else:
             distances = _numbers(spec, n, "channel.distances_m")
-        if np.any(distances <= 0):
-            raise ScenarioError("distances must be positive")
+        seed = channel.get("fading_seed")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+            raise ScenarioError(f"channel.fading_seed must be a nonnegative integer, not {seed!r}")
         try:
-            gains = generate_channel_gains(distances, channel.get("fading_seed"))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"channel.fading_seed: {exc}") from exc
+            gains = generate_channel_gains(distances, seed)
+        except ValueError as exc:
+            raise ScenarioError(f"channel.distances_m: {exc}") from exc
 
     try:
         devices = build_table(gains)

@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="sweep_results.csv", help="output CSV path")
     parser.add_argument("--verify", action="store_true",
                         help="certify each semantic solve against random feasible perturbations")
-    parser.add_argument("--eps1", type=float, default=None,
-                        help="override the server-split accuracy bound")
     parser.add_argument("--eps-outer", type=float, default=None,
                         help="override the outer relative convergence threshold")
     parser.add_argument("--max-iters", type=int, default=None,
@@ -57,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {name: value for name, value in (("eps_bisect_capacity", args.eps1),
-                                                 ("eps_outer", args.eps_outer),
+    overrides = {name: value for name, value in (("eps_outer", args.eps_outer),
                                                  ("max_outer_iters", args.max_iters))
                  if value is not None}
     try:
@@ -78,9 +75,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         sweep = args.sweep
 
     cfg = scenario.system
-    print(f"scenario={scenario.label or args.scenario} devices={cfg.n_devices} "
-          f"eps1={cfg.eps_bisect_capacity} eps_outer={cfg.eps_outer} "
-          f"max_iters={cfg.max_outer_iters}")
+    print(f"scenario={scenario.label or args.scenario} devices={len(scenario.devices)} "
+          f"eps_outer={cfg.eps_outer} max_iters={cfg.max_outer_iters}")
     print(f"sweep={sweep.param}={','.join(repr(v) for v in sweep.values)} "
           f"algorithms={','.join(algorithms)} verify={args.verify}")
 

@@ -25,7 +25,6 @@ __all__ = [
     "check_device_field",
     "SystemConfig",
     "Allocation",
-    "noise_power_watts",
     "generate_channel_gains",
     "semantic_constants",
 ]
@@ -212,12 +211,7 @@ class DeviceTable(Sequence):
         if isinstance(devices, DeviceTable):
             return devices
         devices = tuple(devices)
-        names = tuple(_DEVICE_RULES)  # the overrides come last
-        matrix = np.array([[getattr(td, name) for td in devices] for name in names], dtype=float)
-        given = np.ones(matrix.shape, dtype=bool)
-        given[-len(_OVERRIDES):] = [[getattr(td, name) is not None for td in devices]
-                                    for name in _OVERRIDES]
-        return cls._of(_validated(names, matrix, given))
+        return cls(**{name: [getattr(td, name) for td in devices] for name in _FIELDS})
 
     def replace(self, **columns: object) -> "DeviceTable":
         """A table with the given columns replaced; only those are checked."""
@@ -262,41 +256,39 @@ class DeviceTable(Sequence):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Scenario-wide parameters and solver tolerances.
+    """Scenario-wide parameters and outer-loop tolerances.
 
     ``noise_psd_dbm_hz`` is a power spectral density; the rate formula uses
     the integrated noise power over one sub-channel of ``bandwidth_hz``.
     Defaults reproduce the reference simulation setup. Every field must be
-    finite. ``eps_bisect_capacity`` bounds the Newton solve of the server
-    split; the uplink time has no tolerance, because its solve is exact.
+    finite. The device count is the length of the device sequence, and the
+    inner solves run to machine precision, so neither has a field here.
     """
 
-    n_devices: int
     bandwidth_hz: float = 1e6
     noise_psd_dbm_hz: float = -174.0
     f_mec_total: float = 13e9
     sem_a: float = 1e-5
     sem_k: float = 4.0
     sem_p: float = 3.0
-    eps_bisect_capacity: float = 1e-7
     eps_outer: float = 1e-6
     max_outer_iters: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("n_devices", "max_outer_iters"):
-            if not (isinstance(getattr(self, name), Integral) and getattr(self, name) >= 1):
-                raise ValueError(f"{name} must be a positive integer")
+        _require(isinstance(self.max_outer_iters, Integral) and self.max_outer_iters >= 1,
+                 "max_outer_iters must be a positive integer")
         _require(isinstance(self.noise_psd_dbm_hz, Real) and abs(self.noise_psd_dbm_hz) < math.inf,
                  "noise_psd_dbm_hz must be finite")
-        for name in ("bandwidth_hz", "f_mec_total", "sem_a", "sem_k", "sem_p",
-                     "eps_bisect_capacity", "eps_outer"):
+        for name in ("bandwidth_hz", "f_mec_total", "sem_a", "sem_k", "sem_p", "eps_outer"):
             value = getattr(self, name)
             _require(isinstance(value, Real) and 0 < value < math.inf,
                      f"{name} must be finite and positive")
 
     @property
     def noise_power_w(self) -> float:
-        return noise_power_watts(self.noise_psd_dbm_hz, self.bandwidth_hz)
+        """Integrated noise power over one sub-channel, in watts."""
+        dbm = self.noise_psd_dbm_hz + 10.0 * math.log10(self.bandwidth_hz)
+        return 10.0 ** ((dbm - _DBM_PER_WATT) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -326,13 +318,6 @@ class Allocation:
         return int(self.f_local.shape[0])
 
 
-def noise_power_watts(noise_psd_dbm_hz: float, bandwidth_hz: float) -> float:
-    """Integrated noise power over one sub-channel, in watts."""
-    _require(bandwidth_hz > 0, "bandwidth_hz must be positive")
-    dbm = noise_psd_dbm_hz + 10.0 * math.log10(bandwidth_hz)
-    return 10.0 ** ((dbm - _DBM_PER_WATT) / 10.0)
-
-
 def generate_channel_gains(
     distances_m: Sequence[float], fading_seed: Optional[int] = None
 ) -> np.ndarray:
@@ -340,16 +325,20 @@ def generate_channel_gains(
 
     Optionally multiplies each gain by a unit-mean exponential fading draw
     from a seeded generator, so identical (distances, seed) inputs always
-    yield identical gains.
+    yield identical gains. Raises ValueError for a distance that is not
+    finite and positive, or so short or long that its gain is not.
     """
     d = np.asarray(distances_m, dtype=float)
-    if d.size and np.any(d <= 0):
-        raise ValueError("distances must be positive")
+    if not np.all((0.0 < d) & (d < math.inf)):
+        raise ValueError("distances must be finite and positive")
     losses = 128.1 + 37.6 * np.log10(d / 1000.0)
-    gains = 10.0 ** (-losses / 10.0)
-    if fading_seed is not None:
-        rng = np.random.default_rng(fading_seed)
-        gains = gains * rng.exponential(1.0, size=d.shape)
+    with np.errstate(over="ignore"):
+        gains = 10.0 ** (-losses / 10.0)
+        if fading_seed is not None:
+            rng = np.random.default_rng(fading_seed)
+            gains = gains * rng.exponential(1.0, size=d.shape)
+    if not np.all((0.0 < gains) & (gains < math.inf)):
+        raise ValueError("distances must give finite and positive channel gains")
     return gains
 
 

@@ -17,8 +17,8 @@ exact block solves converges monotonically. One outer iteration runs:
 With the factor pinned (the raw-upload baselines) only the uplink is solved.
 
 Every inner solve runs to relative machine precision and ends on the
-feasible side of its float constraint, so ``eps_bisect_capacity`` is an upper
-bound that the returned server split always meets.
+feasible side of its float constraint, so no inner solve has a tolerance;
+only the outer loop's ``eps_outer`` and ``max_outer_iters`` are set.
 """
 
 from __future__ import annotations
@@ -107,7 +107,10 @@ class ConstraintResiduals:
 
 
 class _Scenario:
-    """Array view of the device table and the system, made once per solve."""
+    """Array view of the device table and the system, made once per solve.
+
+    Raises ValueError for an empty device sequence.
+    """
 
     __slots__ = ("n", "A", "I", "kappa", "f_max", "p_max", "beta_min", "E", "h",
                  "a", "k", "p", "B", "sigma2", "F", "active", "r_full")
@@ -115,6 +118,8 @@ class _Scenario:
     def __init__(self, tds: Sequence[TerminalDevice], cfg: SystemConfig, extraction: bool = True):
         table = DeviceTable.from_devices(tds)
         self.n = len(table)
+        if self.n == 0:
+            raise ValueError("the scenario lists no devices")
         self.A = table.task_bits
         self.I = table.intensity
         self.kappa = table.energy_coeff
@@ -257,7 +262,7 @@ def _transmit_block(sc: _Scenario, beta: np.ndarray,
 
 
 def _remote_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
-                  t_transmit: np.ndarray, cfg: SystemConfig) -> tuple[float, np.ndarray]:
+                  t_transmit: np.ndarray) -> tuple[float, np.ndarray]:
     f_remote = np.zeros(sc.n)
     act = sc.active
     if not np.any(act):
@@ -275,7 +280,7 @@ def _remote_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
         f = w / (delta + gap)
         total = float(f.sum())
         step = total * (total - sc.F) / (sc.F * float(np.sum(f * f / w)))
-        if not step > min(cfg.eps_bisect_capacity, delta * _ULPS):
+        if not step > delta * _ULPS:
             break
         delta += step
     # finish on the side where the shares fit in the capacity
@@ -476,13 +481,14 @@ def remote_rate_bisection(tds: Sequence[TerminalDevice], beta: Sequence[float],
     """Delay cap and server split that finish every active device together.
 
     Monotone Newton steps on the common completion time run from the
-    single-device bound to within ``eps_bisect_capacity`` (or relative
-    machine precision) of the root, and stop where the per-device rates fit
-    in the server capacity; each active device meets the cap with equality.
+    single-device bound to within relative machine precision of the root,
+    and stop where the per-device rates fit in the server capacity; each
+    active device meets the cap with equality. The name predates this
+    Newton solve, which has no tolerance to set.
     """
     sc = _Scenario(tds, cfg)
     return _remote_block(sc, np.asarray(beta, dtype=float), np.asarray(f_local, dtype=float),
-                         np.asarray(t_transmit, dtype=float), cfg)
+                         np.asarray(t_transmit, dtype=float))
 
 
 def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit: float,
@@ -506,11 +512,6 @@ def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit
     beta = _beta_closed_form(sc, np.array([f_local]), np.array([f_remote]),
                              np.array([t_transmit]), np.array([e_transmit]))
     return float(beta[0])
-
-
-def _validate(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> None:
-    if len(tds) != cfg.n_devices:
-        raise ValueError(f"scenario lists {len(tds)} devices but n_devices={cfg.n_devices}")
 
 
 def _relatively_feasible(r: ConstraintResiduals, sc: _Scenario, alloc: Allocation) -> bool:
@@ -538,7 +539,6 @@ def _initial_local_rate(sc: _Scenario) -> np.ndarray:
 def _solve_core(tds: Sequence[TerminalDevice], cfg: SystemConfig, *,
                 extraction: bool = True, freeze_beta: bool = False,
                 initial: Optional[Allocation] = None) -> SolverReport:
-    _validate(tds, cfg)
     tds = DeviceTable.from_devices(tds)
     sc = _Scenario(tds, cfg, extraction)
 
@@ -562,7 +562,7 @@ def _solve_core(tds: Sequence[TerminalDevice], cfg: SystemConfig, *,
         f_local = _initial_local_rate(sc) if extraction else sc.f_max.copy()
         t_transmit, e_transmit = _transmit_block(sc, beta, f_local)
 
-    _, f_remote = _remote_block(sc, beta, f_local, t_transmit, cfg)
+    _, f_remote = _remote_block(sc, beta, f_local, t_transmit)
     trace = [_objective(sc, beta, f_local, t_transmit, f_remote)]
 
     converged = False
@@ -576,7 +576,7 @@ def _solve_core(tds: Sequence[TerminalDevice], cfg: SystemConfig, *,
             beta, t_transmit, e_transmit = _refine_block(sc, beta, f_local, f_remote)
         if extraction:
             f_local = _local_rate_block(sc, beta, e_transmit)
-        _, f_remote = _remote_block(sc, beta, f_local, t_transmit, cfg)
+        _, f_remote = _remote_block(sc, beta, f_local, t_transmit)
         trace.append(_objective(sc, beta, f_local, t_transmit, f_remote))
         if abs(trace[-1] - trace[-2]) <= cfg.eps_outer * max(abs(trace[-1]), 1e-300):
             converged = True
@@ -606,10 +606,9 @@ def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
     Positive values mean satisfied. Raises on nonpositive entries where the
     log substitution is taken.
     """
-    _validate(tds, cfg)
-    if alloc.n_devices != len(tds):
-        raise ValueError("allocation does not match the device list")
     sc = _Scenario(tds, cfg)
+    if alloc.n_devices != sc.n:
+        raise ValueError("allocation does not match the device list")
     beta = alloc.beta
     f_local = alloc.f_local
     if np.any(beta <= 0) or np.any(f_local <= 0):

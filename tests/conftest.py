@@ -37,7 +37,6 @@ def single_device_draw(rng: np.random.Generator) -> tuple[TerminalDevice, System
             channel_gain=h,
         )
         cfg = SystemConfig(
-            n_devices=1,
             f_mec_total=float(1.3e10 * rng.uniform(0.7, 1.5)),
             sem_a=float(1e-5 * rng.uniform(0.5, 2.0)),
             sem_k=float(rng.integers(3, 6)),
@@ -68,7 +67,6 @@ def multi_device_draw(rng: np.random.Generator, n: int = 10,
         for i in range(n)
     )
     cfg = SystemConfig(
-        n_devices=n,
         f_mec_total=float(1.3e10 * rng.uniform(0.7, 1.5)),
         sem_a=float(1e-5 * rng.uniform(0.5, 2.0)),
         sem_k=float(rng.integers(3, 6)),

@@ -61,7 +61,7 @@ def test_c2_delay_cap_tightness_and_capacity_saturation():
         worst_slack = max(worst_slack, float(report.tightness_residuals.max()))
         worst_capacity = min(worst_capacity,
                              float(report.allocation.f_remote.sum()) / cfg.f_mec_total)
-    allowed = reference_scenario().system.eps_bisect_capacity + 1e-9
+    allowed = 1e-7 + 1e-9
     ok = worst_slack <= allowed and worst_capacity >= 1.0 - 1e-6
     _report("C2", "tightness", ok,
             f"worst delay-cap slack {worst_slack:.2e} of {allowed:.2e}, "
@@ -80,7 +80,7 @@ def test_c3_closed_form_factor_matches_fine_grid():
         p = [0.3, 0.5, 0.9, 1.0, 2.0, 3.0][checked % 6]
         td, _ = single_device_draw(rng)
         cfg = reference_scenario().system
-        cfg = replace(cfg, n_devices=1, sem_a=float(1e-5 * rng.uniform(0.3, 3)),
+        cfg = replace(cfg, sem_a=float(1e-5 * rng.uniform(0.3, 3)),
                       sem_k=float(rng.uniform(2, 5)), sem_p=p)
         f_local = float(1e9 * rng.uniform(0.3, 1.0))
         f_remote = float(1.3e9 * rng.uniform(0.3, 10.0))

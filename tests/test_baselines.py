@@ -20,7 +20,7 @@ def make_device(**overrides) -> TerminalDevice:
     return TerminalDevice(**params)
 
 
-CFG = SystemConfig(n_devices=1)
+CFG = SystemConfig()
 
 
 class TestLocalOnly:

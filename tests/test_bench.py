@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from semec import (
     solve,
     solve_local_only,
 )
-from semec.bench import scenario_from_dict
+from semec.bench import scenario_from_dict, scenario_to_dict
 from semec.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -119,11 +120,36 @@ class TestLoadScenario:
             "system-iteration-cap-fraction": {"system": {"n_devices": 2, "max_outer_iters": 2.5}},
             "removed-eps-bisect-transmit": {"system": {"n_devices": 2,
                                                        "eps_bisect_transmit": 1e-7}},
+            "removed-eps-bisect-capacity": {"system": {"eps_bisect_capacity": 1e-7}},
+            "n-devices-zero": {"system": {"n_devices": 0}},
+            "n-devices-negative": {"system": {"n_devices": -1}},
+            "n-devices-fraction": {"system": {"n_devices": 2.5}},
+            "n-devices-bool": {"system": {"n_devices": True}},
+            "distances-nan": {"channel": {"distances_m": [float("nan"), 100.0]}},
+            "distances-inf": {"channel": {"distances_m": [float("inf"), 100.0]}},
+            "distances-underflow": {"channel": {"distances_m": [1e-300, 100.0]}},
+            "linspace-inf": {"channel": {"distances_m": {"linspace": [float("inf"), 100.0]}}},
+            "fading-seed-bool": {"channel": {"distances_m": [120.0, 200.0],
+                                             "fading_seed": True}},
+            "fading-seed-negative": {"channel": {"distances_m": [120.0, 200.0],
+                                                 "fading_seed": -1}},
         }.items()
     ])
     def test_malformed_document_rejected(self, overrides):
         with pytest.raises(ScenarioError):
             scenario_from_dict(minimal_doc(**overrides))
+
+    def test_declared_device_count_is_optional(self):
+        scn = scenario_from_dict(minimal_doc(system={}))
+        assert scn == scenario_from_dict(minimal_doc())
+        assert "n_devices" not in scenario_to_dict(scn)["system"]
+
+    @pytest.mark.parametrize("distances", ['[NaN, 100]', '[Infinity, 100]', '[1e-300, 100]'])
+    def test_distance_errors_name_the_distances(self, distances):
+        doc = json.loads('{"system": {}, "devices": {"uniform": {}, "count": 2}, '
+                         '"channel": {"distances_m": ' + distances + '}}')
+        with pytest.raises(ScenarioError, match=r"^channel\.distances_m: distances"):
+            scenario_from_dict(doc)
 
     def test_null_sem_override_defers_to_system(self):
         scn = scenario_from_dict(minimal_doc(devices=[{"sem_a": None}, {"sem_a": 2e-5}]))
@@ -300,12 +326,10 @@ class TestCli:
     def test_tolerance_overrides_pass_through(self, tmp_path):
         out = tmp_path / "tol.csv"
         code = cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(out),
-                         "--eps1", "1e-6", "--eps-outer", "1e-5",
-                         "--max-iters", "50"])
+                         "--eps-outer", "1e-5", "--max-iters", "50"])
         assert code == 0
 
     @pytest.mark.parametrize("flag,value,field", [("--max-iters", "0", "max_outer_iters"),
-                                                  ("--eps1", "-1", "eps_bisect_capacity"),
                                                   ("--eps-outer", "nan", "eps_outer"),
                                                   ("--sweep", "energy_budget=0.5,-1",
                                                    "energy_budget"),
@@ -319,7 +343,7 @@ class TestCli:
         assert err.startswith("error: ") and field in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--eps2", "--seed"])
+    @pytest.mark.parametrize("flag", ["--eps1", "--eps2", "--seed"])
     def test_removed_flags_rejected(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(tmp_path / "x.csv"),
@@ -336,14 +360,30 @@ class TestCli:
         assert out.exists()
 
 
+def load_perfbench(name: str):
+    """The module ``perfbench/<name>.py``, loaded from the checkout."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestTracedCallSites:
     def test_perfbench_call_sites_resolve(self):
         # the traced benchmark run wraps these module attributes by name; one
         # that no longer resolves breaks it
-        spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                      ROOT / "perfbench" / "spans.py")
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
-        for module, attr, *_ in spans._CALL_SITES:
+        for module, attr, *_ in load_perfbench("spans")._CALL_SITES:
             target = getattr(importlib.import_module(f"semec.{module}"), attr, None)
             assert callable(target), f"semec.{module}.{attr}"
+
+
+class TestPerfbenchScenarios:
+    def test_workload_documents_load(self):
+        # every benchmark workload writes a scenario document that must load
+        workloads = load_perfbench("workloads")
+        for workload in workloads.WORKLOADS.values():
+            small = replace(workload, n=3)
+            scenario = scenario_from_dict(workloads.scenario_doc(small, seed=0))
+            assert len(scenario.devices) == 3

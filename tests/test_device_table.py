@@ -52,6 +52,14 @@ class TestOverrideSentinel:
         with pytest.raises(ValueError, match=r"^devices\[1\]: sem_a must be finite"):
             DeviceTable.from_devices(devices)
 
+    def test_numeric_string_rejected_from_devices(self):
+        # a TerminalDevice rejects the string, and so does the table
+        devices = [TerminalDevice(**DEVICE), SimpleNamespace(**{**DEVICE, "task_bits": "3e6",
+                                                                "sem_a": None, "sem_k": None,
+                                                                "sem_p": None})]
+        with pytest.raises(ValueError, match="task_bits"):
+            DeviceTable.from_devices(devices)
+
     @pytest.mark.parametrize("column", [[None, math.nan], np.array([1e-5, math.nan]), math.nan])
     def test_nan_rejected_on_construction(self, column):
         with pytest.raises(ValueError, match=r"sem_a must be finite and positive when given"):

@@ -30,7 +30,7 @@ def make_device(**overrides) -> TerminalDevice:
     return TerminalDevice(**params)
 
 
-CFG = SystemConfig(n_devices=1)
+CFG = SystemConfig()
 
 
 class TestGridSpec:
@@ -91,7 +91,7 @@ class TestGridOptimum:
             grid_optimum([td], CFG, GridSpec(16, bounds))
 
     def test_two_devices_symmetric_split(self):
-        cfg = SystemConfig(n_devices=2)
+        cfg = SystemConfig()
         tds = [make_device(), make_device()]
         solved = solve(tds, cfg).objective_trace[-1]
         bounds = default_grid_bounds(tds, cfg)
@@ -101,7 +101,7 @@ class TestGridOptimum:
         assert solved <= obj + 1e-12
 
     def test_two_heterogeneous_devices(self):
-        cfg = SystemConfig(n_devices=2, f_mec_total=8e9)
+        cfg = SystemConfig(f_mec_total=8e9)
         tds = [make_device(task_bits=2e6, channel_gain=3e-10),
                make_device(task_bits=5e6, channel_gain=4e-11, intensity=90.0)]
         solved = solve(tds, cfg).objective_trace[-1]
@@ -113,9 +113,9 @@ class TestGridOptimum:
 
     def test_too_many_devices(self):
         tds = [make_device()] * 3
-        bounds = default_grid_bounds(tds, SystemConfig(n_devices=3))
+        bounds = default_grid_bounds(tds, SystemConfig())
         with pytest.raises(ValueError):
-            grid_optimum(tds, SystemConfig(n_devices=3), GridSpec(16, bounds))
+            grid_optimum(tds, SystemConfig(), GridSpec(16, bounds))
 
 
 class TestPerturbationCertify:

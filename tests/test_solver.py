@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bisection_oracles import bits_carried, server_split_bisection, uplink_time_bisection
 from conftest import log_uniform, multi_device_draw, single_device_draw
 from semec import (
+    Allocation,
     FeasibilityCause,
     FeasibilityError,
     SystemConfig,
@@ -17,6 +19,7 @@ from semec import (
     optimal_local_rate,
     remote_rate_bisection,
     solve,
+    solve_local_only,
     solve_no_semantic,
     transmit_bisection,
 )
@@ -30,7 +33,7 @@ def make_device(**overrides) -> TerminalDevice:
     return TerminalDevice(**params)
 
 
-CFG = SystemConfig(n_devices=1)
+CFG = SystemConfig()
 
 
 class TestOptimalLocalRate:
@@ -79,7 +82,7 @@ class TestTransmitBisection:
 
     def test_agrees_with_linear_scan(self):
         scan_tol = 1e-5
-        cfg = SystemConfig(n_devices=1)
+        cfg = SystemConfig()
         rng = np.random.default_rng(17)
         for _ in range(5):
             td, _ = single_device_draw(rng)
@@ -161,7 +164,7 @@ class TestRemoteRateBisection:
 
     def test_identical_devices_split_evenly(self):
         n = 8
-        cfg = SystemConfig(n_devices=n)
+        cfg = SystemConfig()
         tds = [make_device() for _ in range(n)]
         t, f_remote = remote_rate_bisection(tds, [1.0] * n, [1e9] * n, [0.2] * n, cfg)
         np.testing.assert_allclose(f_remote, cfg.f_mec_total / n, rtol=1e-9)
@@ -211,7 +214,7 @@ def split_draws(draw):
     tds = [make_device(task_bits=draw(log_uniform(1e3, 1e8)),
                        intensity=draw(log_uniform(1.0, 1e4))) for _ in range(n)]
     t_transmit = [draw(log_uniform(1e-4, 10.0)) for _ in range(n)]
-    cfg = SystemConfig(n_devices=n, f_mec_total=draw(log_uniform(1e6, 1e30)))
+    cfg = SystemConfig(f_mec_total=draw(log_uniform(1e6, 1e30)))
     return tds, t_transmit, cfg
 
 
@@ -244,9 +247,9 @@ class TestBlockOracles:
         base = np.array([cfg.sem_a * td.task_bits / 1e9 for td in tds]) + t_transmit
         assert np.all(np.isfinite(f_remote)) and np.all(f_remote > 0)
         assert cfg.f_mec_total * (1 - 1e-12) <= f_remote.sum() <= cfg.f_mec_total
-        assert np.max(np.abs(t_cap - (base + w / f_remote))) <= cfg.eps_bisect_capacity
+        assert np.max(np.abs(t_cap - (base + w / f_remote))) <= 1e-7
         try:
-            oracle, _ = server_split_bisection(w, base, cfg.f_mec_total, cfg.eps_bisect_capacity)
+            oracle, _ = server_split_bisection(w, base, cfg.f_mec_total, 1e-7)
         except ValueError:
             return  # the capacity is too abundant for the bisection's bracket
         assert abs(t_cap - oracle) <= 1e-12 * oracle
@@ -266,7 +269,7 @@ class TestOptimalBeta:
 
     def test_interior_stationary_point_value(self):
         # mu = (a*k*f_O / (f_L*I*(1-p)))^(1/(k+1-p)) ~ 0.04781 for these inputs
-        cfg = SystemConfig(n_devices=1, sem_p=0.5)
+        cfg = SystemConfig(sem_p=0.5)
         mu = (1e-5 * 4.0 * 1e9 / (1e9 * 70.0 * 0.5)) ** (1.0 / 4.5)
         assert mu == pytest.approx(0.0478, rel=1e-3)
         # with beta_min above mu, the lower end is returned
@@ -296,7 +299,7 @@ class TestOptimalBeta:
         while checked < 60:
             p = [0.3, 0.5, 0.9, 1.0, 2.0, 3.0][checked % 6]
             td, _ = single_device_draw(rng)
-            cfg = SystemConfig(n_devices=1, sem_a=float(1e-5 * rng.uniform(0.3, 3)),
+            cfg = SystemConfig(sem_a=float(1e-5 * rng.uniform(0.3, 3)),
                                sem_k=float(rng.uniform(2, 5)), sem_p=p)
             f_local = float(1e9 * rng.uniform(0.3, 1.0))
             f_remote = float(1.3e9 * rng.uniform(0.3, 10.0))
@@ -333,7 +336,7 @@ class TestSolve:
         assert res.rate.min() >= -1e-6 * 3e6
         assert np.all(report.allocation.beta >= 0.6 - 1e-12)
         assert np.all(report.allocation.beta <= 1.0 + 1e-12)
-        assert report.tightness_residuals.max() <= reference.system.eps_bisect_capacity + 1e-9
+        assert report.tightness_residuals.max() <= 1e-7 + 1e-9
 
     def test_monotone_descent_random(self):
         rng = np.random.default_rng(31)
@@ -411,20 +414,20 @@ class TestSolve:
                   initial=replace(alloc, t_transmit=t_transmit))
 
     def test_zero_bit_tasks(self):
-        cfg = SystemConfig(n_devices=2)
+        cfg = SystemConfig()
         tds = [make_device(task_bits=0.0), make_device(task_bits=0.0)]
         report = solve(tds, cfg)
         assert report.objective_trace[-1] == 0.0
         assert report.converged
 
     def test_mixed_zero_and_active_tasks(self):
-        cfg = SystemConfig(n_devices=3)
+        cfg = SystemConfig()
         tds = [make_device(), make_device(task_bits=0.0), make_device(channel_gain=4e-11)]
         report = solve(tds, cfg)
         alloc = report.allocation
         assert (alloc.f_remote[1], alloc.t_transmit[1], alloc.e_transmit[1]) == (0.0, 0.0, 0.0)
         # idle device contributes nothing to the shared budget or the max
-        active = solve([tds[0], tds[2]], SystemConfig(n_devices=2))
+        active = solve([tds[0], tds[2]], cfg)
         assert report.objective_trace[-1] == pytest.approx(
             active.objective_trace[-1], rel=1e-9)
 
@@ -467,7 +470,7 @@ class TestSolve:
                          energy_coeff=1.8109532477482195e-26, f_local_max=1869637485.5035536,
                          p_tx_max=0.6947498036033956, beta_min=0.06782733141738045,
                          energy_budget=0.026327078137637728, channel_gain=5.3298188604486745e-11)
-        cfg = SystemConfig(n_devices=1, f_mec_total=2e9, sem_a=2.682305565772427e-05,
+        cfg = SystemConfig(f_mec_total=2e9, sem_a=2.682305565772427e-05,
                            sem_k=4.061595157141169, sem_p=1.0)
         trace = solve([td], cfg).objective_trace
         assert np.all(np.diff(trace) <= 1e-12)
@@ -478,12 +481,14 @@ class TestSolve:
         with pytest.raises(FeasibilityError):
             solve([td], CFG)
 
-    def test_device_count_mismatch(self):
-        with pytest.raises(ValueError):
-            solve([make_device(), make_device()], CFG)
+    @pytest.mark.parametrize("call", [solve, solve_no_semantic, solve_local_only,
+                                      partial(log_domain_residuals,
+                                              Allocation([], [], [], [], [], 0.0))])
+    def test_empty_device_sequence_rejected(self, call):
+        with pytest.raises(ValueError, match="no devices"):
+            call([], CFG)
 
     def test_infeasible_initial_rejected(self):
-        from semec import Allocation
         td = make_device()
         # energy budget violated: e_transmit alone exceeds E
         bad = Allocation([1e9], [CFG.f_mec_total], [1.0], [2.0], [0.8], 1.0)
@@ -527,7 +532,6 @@ class TestResiduals:
         f_remote = cfg.f_mec_total
         t_total = (a * td.task_bits / (beta**k * f_local) + t_transmit
                    + td.task_bits * td.intensity * beta ** (1 - p) / f_remote)
-        from semec import Allocation
         alloc = Allocation([f_local], [f_remote], [t_transmit], [e_transmit], [beta], t_total)
         res = log_domain_residuals(alloc, [td], cfg)
         assert abs(res.delay_cap[0]) <= 1e-12 * t_total
@@ -539,7 +543,6 @@ class TestResiduals:
         assert abs(res.beta_floor[0]) <= 1e-15
 
     def test_domain_error_on_nonpositive(self):
-        from semec import Allocation
         td = make_device()
         alloc = Allocation([1e9], [1e9], [0.1], [0.1], [-0.5], 1.0)
         with pytest.raises(ValueError):
