@@ -6,8 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Allocation, SystemConfig, TerminalDevice
-from .solver import SolverReport, _Scenario, _solve_core
+from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice
+from .solver import SolverReport, _at_start, _Scenario, solve
 
 __all__ = ["solve_no_semantic", "solve_local_only"]
 
@@ -16,13 +16,15 @@ def solve_no_semantic(tds: Sequence[TerminalDevice], cfg: SystemConfig,
                       retain_extraction: bool = False) -> SolverReport:
     """Conventional offloading: every device uploads its raw bits.
 
-    The extraction factor is pinned at 1 and its block is skipped. By
-    default the upload performs no extraction pass at all, so extraction
-    delay and energy are zero; ``retain_extraction=True`` keeps the
-    (tiny) factor-1 extraction terms, which makes this baseline coincide
-    exactly with the semantic solver forced to a unit factor.
+    The extraction factor is pinned at 1. By default there is no extraction
+    pass, so its delay and energy are zero and nothing couples the blocks:
+    the optimum is :func:`solve`'s start point. ``retain_extraction=True``
+    keeps the (tiny) factor-1 extraction terms and runs :func:`solve` with
+    every factor floor at 1, the semantic solver forced to a unit factor.
     """
-    return _solve_core(tds, cfg, extraction=retain_extraction, freeze_beta=True)
+    if retain_extraction:
+        return solve(DeviceTable.from_devices(tds).replace(beta_min=1.0), cfg)
+    return _at_start(_Scenario(tds, cfg, extraction=False))
 
 
 def solve_local_only(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:

@@ -153,6 +153,12 @@ def _numbers(values: object, n: int, where: str) -> np.ndarray:
     return out.astype(float, copy=False)
 
 
+def _positive_count(value: object, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ScenarioError(f"{where} must be a positive integer, not {value!r}")
+    return value
+
+
 def _uniform_table(template: dict, gains: np.ndarray) -> DeviceTable:
     # every device is the template, so device 0 speaks for all
     _check_keys(template, _ENTRY_FIELDS, "devices[0]")
@@ -184,23 +190,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _check_keys(devices_doc, ("uniform", "count"), "devices")
         if "uniform" not in devices_doc:
             raise ScenarioError("devices mapping needs a 'uniform' template")
-        count = devices_doc.get("count", system_doc.get("n_devices"))
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ScenarioError(
-                f"devices.count or system.n_devices must give an integer count, not {count!r}")
+        if "count" in devices_doc or "n_devices" not in system_doc:
+            n = _positive_count(devices_doc.get("count"), "devices.count")
+        else:
+            n = _positive_count(system_doc["n_devices"], "system.n_devices")
         uniform = _fields(devices_doc["uniform"], "devices.uniform", _SEM_FIELDS)
-        n = max(count, 0)
         build_table = partial(_uniform_table, uniform)
     elif isinstance(devices_doc, list):
+        if not devices_doc:
+            raise ScenarioError("devices must list at least one device")
         entries = [_fields(e, f"devices[{i}]", _SEM_FIELDS) for i, e in enumerate(devices_doc)]
         n = len(entries)
         build_table = partial(_listed_table, entries)
     else:
         raise ScenarioError("devices must be a list or a uniform template mapping")
 
-    declared = system_doc.pop("n_devices", n)
-    if not (isinstance(declared, int) and declared >= 1):
-        raise ScenarioError("system: n_devices must be a positive integer")
+    declared = _positive_count(system_doc.pop("n_devices", n), "system.n_devices")
     if declared != n:
         raise ScenarioError(f"system.n_devices={declared} but {n} device entries were given")
     try:

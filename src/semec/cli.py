@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from .bench import (
@@ -46,24 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="sweep_results.csv", help="output CSV path")
     parser.add_argument("--verify", action="store_true",
                         help="certify each semantic solve against random feasible perturbations")
-    parser.add_argument("--eps-outer", type=float, default=None,
-                        help="override the outer relative convergence threshold")
-    parser.add_argument("--max-iters", type=int, default=None,
-                        help="override the outer iteration cap")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {name: value for name, value in (("eps_outer", args.eps_outer),
-                                                 ("max_outer_iters", args.max_iters))
-                 if value is not None}
     try:
         scenario = load_scenario(args.scenario)
-        scenario = replace(scenario, system=replace(scenario.system, **overrides))
         if args.sweep is not None:
             validate_sweep(scenario, args.sweep)
-    except (OSError, ValueError) as exc:  # ScenarioError, or an override or sweep value
+    except (OSError, ValueError) as exc:  # ScenarioError, or a sweep value
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

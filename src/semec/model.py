@@ -114,8 +114,8 @@ _ITER_BLOCK = 1024  # rows converted to Python floats at a time while iterating
 def _checked(columns: Dict[str, object], n: int) -> Dict[str, np.ndarray]:
     """Read-only float64 columns of ``n`` devices, checked by the device rules.
 
-    A single number fills its column. Only an override column takes None,
-    whole or per device.
+    A single number fills its column; a list of another length is an error.
+    Only an override column takes None, whole or per device.
     """
     unknown = sorted(set(columns) - set(_FIELDS))
     if unknown:
@@ -131,11 +131,22 @@ def _checked(columns: Dict[str, object], n: int) -> Dict[str, np.ndarray]:
         if name in _OVERRIDES and isinstance(values, (list, tuple)):
             given[row] = [v is not None for v in values]
             values = [0.0 if v is None else v for v in values]
-        values = np.asarray(values)
-        if values.dtype.kind not in "biuf" or values.shape not in ((), (n,)):
-            raise ValueError(f"{name} must be one number or {n} numbers")
-        matrix[row] = values
+        array = np.asarray(values)
+        if array.shape not in ((), (n,)):
+            got = len(array) if array.ndim == 1 else f"an array of shape {array.shape}"
+            raise ValueError(f"{name} must list {n} numbers, not {got}")
+        if array.dtype.kind not in "biuf":
+            # an entry that is no number fails its rule like NaN does
+            array = np.vectorize(_number, otypes=[float])(np.asarray(values, dtype=object))
+        matrix[row] = array
     return _validated(names, matrix, given)
+
+
+def _number(value: object) -> float:
+    try:
+        return float(value) if isinstance(value, Real) else math.nan
+    except OverflowError:  # an integer beyond every float
+        return math.nan
 
 
 def _validated(names: Sequence[str], matrix: np.ndarray,
@@ -168,11 +179,12 @@ class DeviceTable(Sequence):
     """The devices of a scenario as validated, read-only float64 columns.
 
     There is one column per :class:`TerminalDevice` field, named after it,
-    and every entry obeys that field's rule; a violation raises ValueError
-    naming the first failing device, ``devices[i]: <field> must ...``. An
-    override column (``sem_a``, ``sem_k``, ``sem_p``) holds NaN where the
-    device defers to the system-wide value. As input, deferring is spelled
-    ``None``: a NaN is rejected like any other non-finite value.
+    and every entry obeys that field's rule; a violation, an entry that is no
+    number included, raises ValueError naming the first failing device,
+    ``devices[i]: <field> must ...``. An override column (``sem_a``,
+    ``sem_k``, ``sem_p``) holds NaN where the device defers to the
+    system-wide value. As input, deferring is spelled ``None``: a NaN is
+    rejected like any other non-finite value.
 
     The table is a sequence of devices: ``table[i]`` and iteration give equal
     :class:`TerminalDevice` objects. The solver, baselines and oracle read

@@ -14,7 +14,8 @@ exact block solves converges monotonically. One outer iteration runs:
    Newton on the delay cap that splits the server capacity so every active
    device finishes at the same time.
 
-With the factor pinned (the raw-upload baselines) only the uplink is solved.
+The raw-upload baseline is the loop's start point without extraction, and
+the retained-extraction baseline is the loop with every factor floor at 1.
 
 Every inner solve runs to relative machine precision and ends on the
 feasible side of its float constraint, so no inner solve has a tolerance;
@@ -235,30 +236,31 @@ def _t_energy_limited(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
     return t
 
 
+def _uplink(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
+            lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal uplink time for ``bits`` on ``lanes`` (0 elsewhere), and where
+    the energy cap binds: at peak power unless that overspends ``e_budget``.
+    """
+    t_power = bits / sc.r_full
+    energy_limited = lanes & ~(sc.p_max * t_power <= e_budget)
+    t = np.where(lanes, t_power, 0.0)
+    if np.any(energy_limited):
+        t[energy_limited] = _t_energy_limited(sc, bits, e_budget, t_power, energy_limited)
+    return t, energy_limited
+
+
 def _transmit_block(sc: _Scenario, beta: np.ndarray,
                     f_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t_out = np.zeros(sc.n)
-    e_out = np.zeros(sc.n)
     act = sc.active
-    bits = np.where(act, beta * sc.A, 0.0)
     e_budget = sc.E - _extraction_energy(sc, beta, f_local)
     bad = act & (e_budget <= 0)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise FeasibilityError(idx, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
                                "extraction energy exhausts the budget")
-
-    t_power = np.where(act, bits / sc.r_full, 0.0)
-    power_limited = act & (sc.p_max * t_power <= e_budget)
-    t_out[power_limited] = t_power[power_limited]
-    e_out[power_limited] = (sc.p_max * t_power)[power_limited]
-
-    # past t_power the energy cap binds, so the whole leftover budget is spent
-    energy_limited = act & ~power_limited
-    if np.any(energy_limited):
-        t_out[energy_limited] = _t_energy_limited(sc, bits, e_budget, t_power, energy_limited)
-        e_out[energy_limited] = e_budget[energy_limited]
-    return t_out, e_out
+    t, energy_limited = _uplink(sc, np.where(act, beta * sc.A, 0.0), e_budget, act)
+    # past peak power the energy cap binds, so the whole leftover budget is spent
+    return t, np.where(energy_limited, e_budget, sc.p_max * t)
 
 
 def _remote_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
@@ -392,15 +394,10 @@ def _refine_block(sc: _Scenario, beta, f_local,
         t_local = sc.a * sc.A / (np.maximum(f_local, 1e-300) * b**sc.k)
         t_remote = sc.A * sc.I * b ** (1.0 - sc.p) / np.maximum(f_remote, 1e-300)
         e_budget = sc.E - ext_coeff * b**-sc.k
-        bits = b * sc.A
-        t_power = bits / sc.r_full
-        power_limited = sc.p_max * t_power <= e_budget
-        d_uplink = np.where(power_limited, t_power, 0.0)
-        lanes = act & ~power_limited
+        # at peak power the uplink time is linear in b: it is its own log-derivative
+        d_uplink, lanes = _uplink(sc, b * sc.A, e_budget, act)
         if np.any(lanes):
-            t_el = np.ones(sc.n)
-            t_el[lanes] = _t_energy_limited(sc, bits, e_budget, t_power, lanes)
-            q = sc.h * e_budget / (t_el * sc.sigma2)
+            q = sc.h * e_budget / (np.where(lanes, d_uplink, 1.0) * sc.sigma2)
             dF_dt = (sc.B / _LN2) * (np.log1p(q) - q / (1.0 + q))
             de_db = sc.k * ext_coeff * b ** (-sc.k - 1.0)
             dF_db = (sc.B / _LN2) * sc.h * de_db / (sc.sigma2 * (1.0 + q)) - sc.A
@@ -415,23 +412,10 @@ def _refine_block(sc: _Scenario, beta, f_local,
     interior = act & ~at_lo & ~at_hi
     xa, xb = _illinois(lambda x: slope(np.exp(x)), np.log(lo), slope_lo,
                        np.log(hi), slope_hi, interior)
-    candidate = np.where(interior, np.exp(0.5 * (xa + xb)), np.where(at_lo, lo, hi))
-    candidate = np.clip(candidate, lo, hi)
-
-    # pick the best of {upper end, candidate, lower end} with a fresh uplink
-    # solve each, so boundary optima are hit exactly
-    best_beta, best_t, best_e = np.ones(sc.n), np.zeros(sc.n), np.zeros(sc.n)
-    best_val = np.full(sc.n, np.inf)
-    for trial in (hi, candidate, lo):
-        trial_beta = np.where(act, trial, 1.0)
-        t_t, e_t = _transmit_block(sc, trial_beta, f_local)
-        val = _delays(sc, trial_beta, f_local, t_t, f_remote)
-        better = act & (val < best_val)
-        best_beta = np.where(better, trial_beta, best_beta)
-        best_t = np.where(better, t_t, best_t)
-        best_e = np.where(better, e_t, best_e)
-        best_val = np.where(better, val, best_val)
-    return best_beta, best_t, best_e
+    # the at-end lanes take their end exactly
+    beta = np.where(interior, np.exp(0.5 * (xa + xb)), np.where(at_lo, lo, hi))
+    beta = np.where(act, np.clip(beta, lo, hi), 1.0)
+    return (beta, *_transmit_block(sc, beta, f_local))
 
 
 # --- public operations ------------------------------------------------------
@@ -524,67 +508,38 @@ def _relatively_feasible(r: ConstraintResiduals, sc: _Scenario, alloc: Allocatio
     return all(np.all(slack >= -1e-9 * size) for slack, size in pairs)
 
 
-def _initial_local_rate(sc: _Scenario) -> np.ndarray:
-    # full budget first; fall back to half so the uplink keeps strictly
-    # positive energy headroom when extraction at the cap would exhaust it
-    f0 = _local_rate_block(sc, np.ones(sc.n), np.zeros(sc.n))
-    exhausted = sc.active & (_extraction_energy(sc, np.ones(sc.n), f0) >= sc.E)
-    if np.any(exhausted):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            half = np.sqrt(0.5 * sc.E / (sc.a * sc.A * sc.kappa))
-        f0 = np.where(exhausted, np.minimum(sc.f_max, half), f0)
-    return f0
-
-
-def _solve_core(tds: Sequence[TerminalDevice], cfg: SystemConfig, *,
-                extraction: bool = True, freeze_beta: bool = False,
-                initial: Optional[Allocation] = None) -> SolverReport:
-    tds = DeviceTable.from_devices(tds)
-    sc = _Scenario(tds, cfg, extraction)
-
-    if not np.any(sc.active):
-        alloc = Allocation(sc.f_max.copy(), np.zeros(sc.n), np.zeros(sc.n),
-                           np.zeros(sc.n), np.ones(sc.n), 0.0)
-        return SolverReport(alloc, [0.0], 0, True, np.zeros(sc.n))
-
-    if initial is not None:
-        if initial.n_devices != sc.n:
-            raise ValueError("initial allocation has the wrong number of devices")
-        if not _relatively_feasible(log_domain_residuals(initial, tds, cfg), sc, initial):
-            raise FeasibilityError(-1, FeasibilityCause.INVALID_SCENARIO,
-                                   "initial allocation is infeasible")
-        beta = initial.beta.copy()
-        f_local = initial.f_local.copy()
-        t_transmit = initial.t_transmit.copy()
-        e_transmit = initial.e_transmit.copy()
-    else:
-        beta = np.ones(sc.n)
-        f_local = _initial_local_rate(sc) if extraction else sc.f_max.copy()
-        t_transmit, e_transmit = _transmit_block(sc, beta, f_local)
-
+def _split_server(sc: _Scenario, beta, f_local, t_transmit, e_transmit) -> Allocation:
+    # completes the allocation, with its objective as the epigraph value
     _, f_remote = _remote_block(sc, beta, f_local, t_transmit)
-    trace = [_objective(sc, beta, f_local, t_transmit, f_remote)]
+    return Allocation(f_local, f_remote, t_transmit, e_transmit, beta,
+                      _objective(sc, beta, f_local, t_transmit, f_remote))
 
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_outer_iters + 1):
-        if freeze_beta:
-            t_transmit, e_transmit = _transmit_block(sc, beta, f_local)
-        else:
-            # the incumbent factor stays feasible: the local-rate block spends
-            # only the energy that the uplink leaves over
-            beta, t_transmit, e_transmit = _refine_block(sc, beta, f_local, f_remote)
-        if extraction:
-            f_local = _local_rate_block(sc, beta, e_transmit)
-        _, f_remote = _remote_block(sc, beta, f_local, t_transmit)
-        trace.append(_objective(sc, beta, f_local, t_transmit, f_remote))
-        if abs(trace[-1] - trace[-2]) <= cfg.eps_outer * max(abs(trace[-1]), 1e-300):
-            converged = True
-            break
 
-    allocation = Allocation(f_local, f_remote, t_transmit, e_transmit, beta, trace[-1])
-    tightness = trace[-1] - _delays(sc, beta, f_local, t_transmit, f_remote)
-    return SolverReport(allocation, trace, iterations, converged, tightness)
+def _report(sc: _Scenario, alloc: Allocation, trace: List[float], iterations: int,
+            converged: bool) -> SolverReport:
+    tightness = trace[-1] - _delays(sc, alloc.beta, alloc.f_local, alloc.t_transmit,
+                                    alloc.f_remote)
+    return SolverReport(alloc, trace, iterations, converged, tightness)
+
+
+def _start(sc: _Scenario) -> Allocation:
+    # the factor at 1, and the local rate that spends the full budget on
+    # extraction, or half where the full budget would leave the uplink none
+    beta = np.ones(sc.n)
+    f_local = _local_rate_block(sc, beta, np.zeros(sc.n))
+    exhausted = sc.active & (_extraction_energy(sc, beta, f_local) >= sc.E)
+    if np.any(exhausted):
+        f_local = np.where(exhausted, _local_rate_block(sc, beta, 0.5 * sc.E), f_local)
+    return _split_server(sc, beta, f_local, *_transmit_block(sc, beta, f_local))
+
+
+def _at_start(sc: _Scenario) -> SolverReport:
+    """The start point as a finished solve, which it is when no block couples
+    to another: without work (after no iteration), and without extraction,
+    where the local rate is the hardware cap and one iteration changes nothing.
+    """
+    alloc = _start(sc)
+    return _report(sc, alloc, [alloc.t_epigraph], int(np.any(sc.active)), True)
 
 
 def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig,
@@ -596,7 +551,35 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig,
     Infeasible scenarios raise :class:`FeasibilityError`; hitting the outer
     iteration cap reports ``converged=False`` instead of raising.
     """
-    return _solve_core(tds, cfg, extraction=True, freeze_beta=False, initial=initial)
+    tds = DeviceTable.from_devices(tds)
+    sc = _Scenario(tds, cfg)
+    if not np.any(sc.active):
+        return _at_start(sc)
+    if initial is None:
+        alloc = _start(sc)
+    else:
+        if initial.n_devices != sc.n:
+            raise ValueError("initial allocation has the wrong number of devices")
+        if not _relatively_feasible(log_domain_residuals(initial, tds, cfg), sc, initial):
+            raise FeasibilityError(-1, FeasibilityCause.INVALID_SCENARIO,
+                                   "initial allocation is infeasible")
+        alloc = _split_server(sc, initial.beta, initial.f_local, initial.t_transmit,
+                              initial.e_transmit)
+
+    trace = [alloc.t_epigraph]
+    converged = False
+    for iterations in range(1, cfg.max_outer_iters + 1):
+        # the incumbent factor stays feasible: the local-rate block spends
+        # only the energy that the uplink leaves over
+        beta, t_transmit, e_transmit = _refine_block(sc, alloc.beta, alloc.f_local,
+                                                     alloc.f_remote)
+        alloc = _split_server(sc, beta, _local_rate_block(sc, beta, e_transmit), t_transmit,
+                              e_transmit)
+        trace.append(alloc.t_epigraph)
+        if abs(trace[-1] - trace[-2]) <= cfg.eps_outer * max(abs(trace[-1]), 1e-300):
+            converged = True
+            break
+    return _report(sc, alloc, trace, iterations, converged)
 
 
 def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],

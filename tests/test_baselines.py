@@ -93,6 +93,7 @@ class TestNoSemantic:
     def test_zero_bits(self):
         report = solve_no_semantic([make_device(task_bits=0.0)], CFG)
         assert report.objective_trace[-1] == 0.0
+        assert report.iterations == 0
 
 
 class TestOrdering:

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -137,6 +138,20 @@ class TestLoadScenario:
     ])
     def test_malformed_document_rejected(self, overrides):
         with pytest.raises(ScenarioError):
+            scenario_from_dict(minimal_doc(**overrides))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"devices": {"uniform": {}, "count": -3}}, "devices.count must be a positive integer"),
+        ({"devices": {"uniform": {}, "count": 0}}, "devices.count must be a positive integer"),
+        ({"system": {"n_devices": -3}, "devices": {"uniform": {}}},
+         "system.n_devices must be a positive integer"),
+        ({"system": {}, "devices": {"uniform": {}}}, "devices.count must be a positive integer"),
+        ({"system": {}, "devices": []}, "devices must list at least one device"),
+        ({"system": {"n_devices": 0}, "devices": []}, "devices must list at least one device"),
+        ({"system": {"n_devices": 0}}, "system.n_devices must be a positive integer"),
+    ])
+    def test_count_errors_name_the_field_given(self, overrides, message):
+        with pytest.raises(ScenarioError, match="^" + re.escape(message)):
             scenario_from_dict(minimal_doc(**overrides))
 
     def test_declared_device_count_is_optional(self):
@@ -323,15 +338,7 @@ class TestCli:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_tolerance_overrides_pass_through(self, tmp_path):
-        out = tmp_path / "tol.csv"
-        code = cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(out),
-                         "--eps-outer", "1e-5", "--max-iters", "50"])
-        assert code == 0
-
-    @pytest.mark.parametrize("flag,value,field", [("--max-iters", "0", "max_outer_iters"),
-                                                  ("--eps-outer", "nan", "eps_outer"),
-                                                  ("--sweep", "energy_budget=0.5,-1",
+    @pytest.mark.parametrize("flag,value,field", [("--sweep", "energy_budget=0.5,-1",
                                                    "energy_budget"),
                                                   ("--sweep", "sem_k=0", "sem_k")])
     def test_bad_override_is_an_error_not_a_traceback(self, tmp_path, capsys, flag, value,
@@ -343,7 +350,22 @@ class TestCli:
         assert err.startswith("error: ") and field in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--eps1", "--eps2", "--seed"])
+    @pytest.mark.parametrize("field,value", [("max_outer_iters", 0), ("eps_outer", 0)])
+    def test_bad_scenario_value_is_an_error_not_a_traceback(self, tmp_path, capsys, field,
+                                                            value):
+        doc = json.loads(SCENARIO_PATH.read_text())
+        doc["system"][field] = value
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "bad.csv"
+        code = cli_main(["--scenario", str(scenario), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: system: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--eps1", "--eps2", "--seed", "--eps-outer",
+                                      "--max-iters"])
     def test_removed_flags_rejected(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(tmp_path / "x.csv"),

@@ -57,8 +57,9 @@ class TestOverrideSentinel:
         devices = [TerminalDevice(**DEVICE), SimpleNamespace(**{**DEVICE, "task_bits": "3e6",
                                                                 "sem_a": None, "sem_k": None,
                                                                 "sem_p": None})]
-        with pytest.raises(ValueError, match="task_bits"):
+        with pytest.raises(ValueError) as exc:
             DeviceTable.from_devices(devices)
+        assert str(exc.value) == "devices[1]: task_bits must be finite and nonnegative"
 
     @pytest.mark.parametrize("column", [[None, math.nan], np.array([1e-5, math.nan]), math.nan])
     def test_nan_rejected_on_construction(self, column):
@@ -123,6 +124,34 @@ class TestFirstViolation:
             table_of(3, beta_min=[0.5, 2.0, 0.0], energy_budget=[0.5, -1.0, -1.0])
         with pytest.raises(ValueError, match=r"^devices\[0\]: beta_min"):
             table_of(3, beta_min=[2.0, 0.5, 0.5], energy_budget=[0.5, -1.0, 0.5])
+
+    @pytest.mark.parametrize("columns,message", [
+        ({"task_bits": "3e6"}, "devices[0]: task_bits must be finite and nonnegative"),
+        ({"task_bits": [3e6, None]}, "devices[1]: task_bits must be finite and nonnegative"),
+        ({"task_bits": [3e6, 10**400]}, "devices[1]: task_bits must be finite and nonnegative"),
+        ({"intensity": ["70", 70.0], "task_bits": [3e6, -1.0]},
+         "devices[0]: intensity must be finite and positive"),
+        ({"intensity": [70.0, "70"], "beta_min": [2.0, 0.5]},
+         "devices[0]: beta_min must lie in (0, 1]"),
+        ({"sem_a": [None, "1e-5"]}, "devices[1]: sem_a must be finite and positive when given"),
+    ])
+    def test_entry_that_is_no_number_names_device_and_rule(self, columns, message):
+        with pytest.raises(ValueError) as exc:
+            table_of(**columns)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("column,message", [
+        ([0.5, 0.5, 0.5], "energy_budget must list 2 numbers, not 3"),
+        ([0.5], "energy_budget must list 2 numbers, not 1"),
+        ([[0.5, 0.5], [0.5, 0.5]],
+         "energy_budget must list 2 numbers, not an array of shape (2, 2)"),
+    ])
+    def test_length_mismatch_names_both_lengths(self, column, message):
+        for make in (lambda: table_of(energy_budget=column),
+                     lambda: table_of().replace(energy_budget=column)):
+            with pytest.raises(ValueError) as exc:
+                make()
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("devices,message", [
         ([{}, {"bogus": 1.0}, {"energy_budget": -1.0}], "unknown field(s) ['bogus'] in devices[1]"),

@@ -420,6 +420,27 @@ class TestSolve:
         assert report.objective_trace[-1] == 0.0
         assert report.converged
 
+    def test_half_budget_start(self):
+        # extraction at the hardware cap would spend this budget whole, so the
+        # loop starts from the local rate that spends half of it. The answer is
+        # feasible and the trace descends, but it is not optimal: no block
+        # trades extraction energy for uplink energy, and a grid finds a 37%
+        # lower delay. So no optimality is asserted here.
+        td = make_device(energy_coeff=1e-25, energy_budget=2e-3, channel_gain=8.9e-10)
+        cfg = SystemConfig(sem_a=1e-2)
+        report = solve([td], cfg)
+        alloc = report.allocation
+        assert report.converged
+        assert np.all(np.diff(report.objective_trace) <= 0)
+        r = log_domain_residuals(alloc, [td], cfg)
+        sizes = {"delay_cap": alloc.t_epigraph, "energy": td.energy_budget,
+                 "rate": alloc.beta * td.task_bits, "f_local_cap": 1.0,
+                 "capacity": cfg.f_mec_total, "e_nonneg": td.energy_budget,
+                 "e_power_cap": td.p_tx_max * alloc.t_transmit, "beta_floor": 1.0,
+                 "beta_ceiling": 1.0}
+        for name, size in sizes.items():
+            assert np.all(getattr(r, name) >= -1e-9 * size), name
+
     def test_mixed_zero_and_active_tasks(self):
         cfg = SystemConfig()
         tds = [make_device(), make_device(task_bits=0.0), make_device(channel_gain=4e-11)]
