@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice
+from .model import _HUGE, _TINY, Allocation, DeviceTable, SystemConfig, TerminalDevice
 
 __all__ = [
     "FeasibilityCause",
@@ -141,16 +141,17 @@ class _Scenario:
         self.r_full = self.B * np.log2(1.0 + self.h * self.p_max / self.sigma2)
 
 
+# A = 0 makes each closed form exactly 0, so devices without work need no mask
 def _extraction_energy(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray) -> np.ndarray:
-    return np.where(sc.active, sc.a * sc.A * sc.kappa * f_local**2 / beta**sc.k, 0.0)
+    return sc.a * sc.A * sc.kappa * f_local**2 / beta**sc.k
 
 
 def _t_local(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray) -> np.ndarray:
-    return np.where(sc.active, sc.a * sc.A / (beta**sc.k * f_local), 0.0)
+    return sc.a * sc.A / (beta**sc.k * f_local)
 
 
 def _remote_cycles(sc: _Scenario, beta: np.ndarray) -> np.ndarray:
-    return np.where(sc.active, sc.A * sc.I * beta ** (1.0 - sc.p), 0.0)
+    return sc.A * sc.I * beta ** (1.0 - sc.p)
 
 
 def _bits_carried(sc: _Scenario, h, e, t):
@@ -174,25 +175,19 @@ def _delays(sc: _Scenario, beta, f_local, t_transmit, f_remote) -> np.ndarray:
     return _t_local(sc, beta, f_local) + t_transmit + t_remote
 
 
-def _objective(sc: _Scenario, beta, f_local, t_transmit, f_remote) -> float:
-    if not np.any(sc.active):
-        return 0.0
-    return float(np.max(_delays(sc, beta, f_local, t_transmit, f_remote)[sc.active]))
-
-
 # --- block solves -----------------------------------------------------------
 
 
 def _local_rate_block(sc: _Scenario, beta: np.ndarray, e_transmit: np.ndarray) -> np.ndarray:
     remaining = sc.E - e_transmit
-    bad = sc.active & (remaining <= 0)
+    bad = remaining <= 0
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise FeasibilityError(idx, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
                                "no energy left for extraction")
     with np.errstate(divide="ignore", invalid="ignore"):
         unclamped = np.sqrt(beta**sc.k * np.maximum(remaining, 0.0) / (sc.a * sc.A * sc.kappa))
-    return np.where(sc.active, np.minimum(sc.f_max, unclamped), sc.f_max)
+    return np.minimum(sc.f_max, unclamped)
 
 
 def _t_energy_limited(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
@@ -236,29 +231,27 @@ def _t_energy_limited(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
     return t
 
 
-def _uplink(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
-            lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal uplink time for ``bits`` on ``lanes`` (0 elsewhere), and where
-    the energy cap binds: at peak power unless that overspends ``e_budget``.
+def _uplink(sc: _Scenario, bits: np.ndarray,
+            e_budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal uplink time for ``bits``, and where the energy cap binds: at
+    peak power unless that overspends ``e_budget``.
     """
-    t_power = bits / sc.r_full
-    energy_limited = lanes & ~(sc.p_max * t_power <= e_budget)
-    t = np.where(lanes, t_power, 0.0)
+    t = bits / sc.r_full
+    energy_limited = ~(sc.p_max * t <= e_budget)
     if np.any(energy_limited):
-        t[energy_limited] = _t_energy_limited(sc, bits, e_budget, t_power, energy_limited)
+        t[energy_limited] = _t_energy_limited(sc, bits, e_budget, t, energy_limited)
     return t, energy_limited
 
 
 def _transmit_block(sc: _Scenario, beta: np.ndarray,
                     f_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    act = sc.active
     e_budget = sc.E - _extraction_energy(sc, beta, f_local)
-    bad = act & (e_budget <= 0)
+    bad = e_budget <= 0
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise FeasibilityError(idx, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
                                "extraction energy exhausts the budget")
-    t, energy_limited = _uplink(sc, np.where(act, beta * sc.A, 0.0), e_budget, act)
+    t, energy_limited = _uplink(sc, beta * sc.A, e_budget)
     # past peak power the energy cap binds, so the whole leftover budget is spent
     return t, np.where(energy_limited, e_budget, sc.p_max * t)
 
@@ -371,31 +364,29 @@ def _refine_block(sc: _Scenario, beta, f_local,
     convex subproblem), by a bracketed root search on its derivative. The
     uplink pair is refreshed at the chosen factor.
     """
-    act = sc.active
-    ext_coeff = np.where(act, sc.a * sc.A * sc.kappa * f_local**2, 0.0)
-    b_cur = np.where(act, beta, 1.0)
+    ext_coeff = sc.a * sc.A * sc.kappa * f_local**2
     margin = partial(_uplink_margin, sc, ext_coeff)
 
     def feasible_end(outer: np.ndarray) -> np.ndarray:
         # the feasible factors form an interval around the current one
         x_out = np.log(outer)
         m_out = margin(x_out)
-        need = act & (m_out < 0)
+        need = m_out < 0
         if not np.any(need):
             return outer
-        x_cur = np.log(b_cur)
+        x_cur = np.log(beta)
         _, xb = _illinois(margin, x_out, m_out, x_cur, margin(x_cur), need)
         return np.where(need, np.exp(xb), outer)
 
-    lo = np.minimum(feasible_end(sc.beta_min), b_cur)
-    hi = np.maximum(feasible_end(np.ones(sc.n)), b_cur)
+    lo = np.minimum(feasible_end(sc.beta_min), beta)
+    hi = np.maximum(feasible_end(np.ones(sc.n)), beta)
 
     def slope(b: np.ndarray) -> np.ndarray:
-        t_local = sc.a * sc.A / (np.maximum(f_local, 1e-300) * b**sc.k)
-        t_remote = sc.A * sc.I * b ** (1.0 - sc.p) / np.maximum(f_remote, 1e-300)
+        # devices without work have no server share, and 0/1e-300 is 0
+        t_remote = _remote_cycles(sc, b) / np.maximum(f_remote, 1e-300)
         e_budget = sc.E - ext_coeff * b**-sc.k
         # at peak power the uplink time is linear in b: it is its own log-derivative
-        d_uplink, lanes = _uplink(sc, b * sc.A, e_budget, act)
+        d_uplink, lanes = _uplink(sc, b * sc.A, e_budget)
         if np.any(lanes):
             q = sc.h * e_budget / (np.where(lanes, d_uplink, 1.0) * sc.sigma2)
             dF_dt = (sc.B / _LN2) * (np.log1p(q) - q / (1.0 + q))
@@ -403,22 +394,57 @@ def _refine_block(sc: _Scenario, beta, f_local,
             dF_db = (sc.B / _LN2) * sc.h * de_db / (sc.sigma2 * (1.0 + q)) - sc.A
             dt_db = -dF_db / np.maximum(dF_dt, 1e-300)
             d_uplink = np.where(lanes, b * dt_db, d_uplink)
-        return np.where(act, -sc.k * t_local + (1.0 - sc.p) * t_remote + d_uplink, 0.0)
+        return -sc.k * _t_local(sc, b, f_local) + (1.0 - sc.p) * t_remote + d_uplink
 
     slope_lo = slope(lo)
     slope_hi = slope(hi)
-    at_lo = act & (slope_lo >= 0)
-    at_hi = act & ~at_lo & (slope_hi <= 0)
-    interior = act & ~at_lo & ~at_hi
+    at_lo = slope_lo >= 0
+    at_hi = ~at_lo & (slope_hi <= 0)
+    interior = ~at_lo & ~at_hi
     xa, xb = _illinois(lambda x: slope(np.exp(x)), np.log(lo), slope_lo,
                        np.log(hi), slope_hi, interior)
     # the at-end lanes take their end exactly
     beta = np.where(interior, np.exp(0.5 * (xa + xb)), np.where(at_lo, lo, hi))
-    beta = np.where(act, np.clip(beta, lo, hi), 1.0)
+    # devices without work have zero slope, so they would sit at beta_min: pin them at 1
+    beta = np.where(sc.active, np.clip(beta, lo, hi), 1.0)
     return (beta, *_transmit_block(sc, beta, f_local))
 
 
 # --- public operations ------------------------------------------------------
+
+
+# the closed range [lo, hi] each block input must lie in (NaN fails both
+# comparisons), and the message naming the rule
+_INPUT_RULES = {
+    "beta": (_TINY, 1.0, "must lie in (0, 1]"),
+    **{name: (_TINY, _HUGE, "must be finite and positive") for name in ("f_local", "f_remote")},
+    **{name: (0.0, _HUGE, "must be finite and nonnegative")
+       for name in ("t_transmit", "e_transmit")},
+}
+
+
+def _check_input(name: str, value: float) -> None:
+    lo, hi, rule = _INPUT_RULES[name]
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {rule}")
+
+
+def _input_column(name: str, values: Sequence[float], n: int) -> np.ndarray:
+    lo, hi, rule = _INPUT_RULES[name]
+    column = np.asarray(values, dtype=float)
+    if column.shape != (n,):
+        raise ValueError(f"{name} must list {n} numbers, not an array of shape {column.shape}")
+    if not np.all((lo <= column) & (column <= hi)):
+        raise ValueError(f"{name} {rule}")
+    return column
+
+
+def _check_allocation(sc: _Scenario, alloc: Allocation) -> None:
+    if alloc.n_devices != sc.n:
+        raise ValueError("allocation does not match the device list")
+    vectors = (alloc.f_local, alloc.f_remote, alloc.t_transmit, alloc.e_transmit, alloc.beta)
+    if not (math.isfinite(alloc.t_epigraph) and all(np.isfinite(v).all() for v in vectors)):
+        raise ValueError("allocation entries must be finite")
 
 
 def optimal_local_rate(td: TerminalDevice, beta: float, e_transmit: float,
@@ -429,10 +455,8 @@ def optimal_local_rate(td: TerminalDevice, beta: float, e_transmit: float,
     branch is the rate that spends exactly the remaining budget on
     extraction.
     """
-    if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
-    if e_transmit < 0:
-        raise ValueError("e_transmit must be nonnegative")
+    _check_input("beta", beta)
+    _check_input("e_transmit", e_transmit)
     if td.task_bits == 0:
         return td.f_local_max
     sc = _Scenario([td], cfg)
@@ -450,10 +474,8 @@ def transmit_bisection(td: TerminalDevice, beta: float, f_local: float,
     monotone Newton steps and returned where the float rate condition holds.
     The name predates this exact solve, which has no tolerance to set.
     """
-    if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
-    if f_local <= 0:
-        raise ValueError("f_local must be positive")
+    _check_input("beta", beta)
+    _check_input("f_local", f_local)
     sc = _Scenario([td], cfg)
     t, e = _transmit_block(sc, np.array([beta]), np.array([f_local]))
     return float(t[0]), float(e[0])
@@ -471,8 +493,9 @@ def remote_rate_bisection(tds: Sequence[TerminalDevice], beta: Sequence[float],
     Newton solve, which has no tolerance to set.
     """
     sc = _Scenario(tds, cfg)
-    return _remote_block(sc, np.asarray(beta, dtype=float), np.asarray(f_local, dtype=float),
-                         np.asarray(t_transmit, dtype=float))
+    return _remote_block(sc, _input_column("beta", beta, sc.n),
+                         _input_column("f_local", f_local, sc.n),
+                         _input_column("t_transmit", t_transmit, sc.n))
 
 
 def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit: float,
@@ -485,11 +508,9 @@ def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit
     the interior stationary point is clamped into the interval. ``solve``
     uses the exact extraction block, which generalizes this closed form.
     """
-    for name, value in (("f_local", f_local), ("f_remote", f_remote)):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive")
-    if t_transmit < 0 or e_transmit < 0:
-        raise ValueError("uplink time and energy must be nonnegative")
+    for name, value in (("f_local", f_local), ("f_remote", f_remote),
+                        ("t_transmit", t_transmit), ("e_transmit", e_transmit)):
+        _check_input(name, value)
     if td.task_bits == 0:
         return 1.0
     sc = _Scenario([td], cfg)
@@ -498,21 +519,12 @@ def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit
     return float(beta[0])
 
 
-def _relatively_feasible(r: ConstraintResiduals, sc: _Scenario, alloc: Allocation) -> bool:
-    # each family against its natural size; the log families are relative
-    # already, and a zero size (no uplink time) demands a nonnegative slack
-    pairs = ((r.delay_cap, alloc.t_epigraph), (r.energy, sc.E), (r.rate, alloc.beta * sc.A),
-             (r.f_local_cap, 1.0), (r.capacity, sc.F), (r.e_nonneg, sc.E),
-             (r.e_power_cap, sc.p_max * alloc.t_transmit), (r.beta_floor, 1.0),
-             (r.beta_ceiling, 1.0))
-    return all(np.all(slack >= -1e-9 * size) for slack, size in pairs)
-
-
 def _split_server(sc: _Scenario, beta, f_local, t_transmit, e_transmit) -> Allocation:
-    # completes the allocation, with its objective as the epigraph value
+    # completes the allocation, with its objective as the epigraph value:
+    # devices without work have zero delay, and every other a positive one
     _, f_remote = _remote_block(sc, beta, f_local, t_transmit)
     return Allocation(f_local, f_remote, t_transmit, e_transmit, beta,
-                      _objective(sc, beta, f_local, t_transmit, f_remote))
+                      float(_delays(sc, beta, f_local, t_transmit, f_remote).max()))
 
 
 def _report(sc: _Scenario, alloc: Allocation, trace: List[float], iterations: int,
@@ -527,7 +539,7 @@ def _start(sc: _Scenario) -> Allocation:
     # extraction, or half where the full budget would leave the uplink none
     beta = np.ones(sc.n)
     f_local = _local_rate_block(sc, beta, np.zeros(sc.n))
-    exhausted = sc.active & (_extraction_energy(sc, beta, f_local) >= sc.E)
+    exhausted = _extraction_energy(sc, beta, f_local) >= sc.E
     if np.any(exhausted):
         f_local = np.where(exhausted, _local_rate_block(sc, beta, 0.5 * sc.E), f_local)
     return _split_server(sc, beta, f_local, *_transmit_block(sc, beta, f_local))
@@ -542,30 +554,18 @@ def _at_start(sc: _Scenario) -> SolverReport:
     return _report(sc, alloc, [alloc.t_epigraph], int(np.any(sc.active)), True)
 
 
-def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig,
-          initial: Optional[Allocation] = None) -> SolverReport:
-    """Run the full alternating optimization on a scenario.
+def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
+    """Run the full alternating optimization on a scenario from its start point.
 
     Returns a monotonically non-increasing objective trace; convergence is
     declared when the relative objective change drops below ``eps_outer``.
     Infeasible scenarios raise :class:`FeasibilityError`; hitting the outer
     iteration cap reports ``converged=False`` instead of raising.
     """
-    tds = DeviceTable.from_devices(tds)
     sc = _Scenario(tds, cfg)
     if not np.any(sc.active):
         return _at_start(sc)
-    if initial is None:
-        alloc = _start(sc)
-    else:
-        if initial.n_devices != sc.n:
-            raise ValueError("initial allocation has the wrong number of devices")
-        if not _relatively_feasible(log_domain_residuals(initial, tds, cfg), sc, initial):
-            raise FeasibilityError(-1, FeasibilityCause.INVALID_SCENARIO,
-                                   "initial allocation is infeasible")
-        alloc = _split_server(sc, initial.beta, initial.f_local, initial.t_transmit,
-                              initial.e_transmit)
-
+    alloc = _start(sc)
     trace = [alloc.t_epigraph]
     converged = False
     for iterations in range(1, cfg.max_outer_iters + 1):
@@ -587,11 +587,10 @@ def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
     """Signed slack of every constraint of the convexified problem.
 
     Positive values mean satisfied. Raises on nonpositive entries where the
-    log substitution is taken.
+    log substitution is taken, and on non-finite entries.
     """
     sc = _Scenario(tds, cfg)
-    if alloc.n_devices != sc.n:
-        raise ValueError("allocation does not match the device list")
+    _check_allocation(sc, alloc)
     beta = alloc.beta
     f_local = alloc.f_local
     if np.any(beta <= 0) or np.any(f_local <= 0):
@@ -622,12 +621,14 @@ def delay_breakdown(tds: Sequence[TerminalDevice], alloc: Allocation, cfg: Syste
 
     The closed forms and the order of the sum are the solver's objective's;
     devices without task bits get a zero row, and ``extraction=False`` drops
-    the extraction pass as the raw-upload baseline does.
+    the extraction pass as the raw-upload baseline does. Raises ValueError
+    for an allocation of another length or with a non-finite entry.
     """
     sc = _Scenario(tds, cfg, extraction)
+    _check_allocation(sc, alloc)
     rows = np.zeros((sc.n, 4))
     m = sc.active
-    rows[:, 0] = _t_local(sc, alloc.beta, alloc.f_local)
+    rows[m, 0] = _t_local(sc, alloc.beta, alloc.f_local)[m]
     rows[m, 1] = alloc.t_transmit[m]
     rows[m, 2] = _remote_cycles(sc, alloc.beta)[m] / alloc.f_remote[m]
     rows[:, 3] = rows[:, 0] + rows[:, 1] + rows[:, 2]

@@ -14,6 +14,7 @@ from semec import (
     FeasibilityError,
     SystemConfig,
     TerminalDevice,
+    delay_breakdown,
     log_domain_residuals,
     optimal_beta,
     optimal_local_rate,
@@ -186,6 +187,24 @@ class TestRemoteRateBisection:
                 delay = (a * td.task_bits / (beta[i]**k * f_local[i]) + t_transmit[i]
                          + td.task_bits * td.intensity * beta[i] ** (1 - p) / f_remote[i])
                 assert delay == pytest.approx(t, rel=1e-9)
+
+    def test_short_vector_rejected(self):
+        # one factor for two devices is not broadcast
+        with pytest.raises(ValueError, match=r"^beta must list 2 numbers"):
+            remote_rate_bisection([make_device()] * 2, [0.8], [1e9] * 2, [0.1] * 2, CFG)
+
+    @pytest.mark.parametrize("name", ["beta", "f_local", "t_transmit"])
+    def test_nan_entry_rejected(self, name):
+        inputs = {"beta": [0.8, 0.8], "f_local": [1e9, 1e9], "t_transmit": [0.1, 0.1]}
+        inputs[name][1] = math.nan
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            remote_rate_bisection([make_device()] * 2, cfg=CFG, **inputs)
+
+    def test_zero_factor_rejected(self):
+        # beta**(1 - p) would divide by zero at p = 3
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\]"):
+            remote_rate_bisection([make_device()] * 2, [0.8, 0.0], [1e9] * 2, [0.1] * 2,
+                                  SystemConfig(sem_p=3.0))
 
 
 @st.composite
@@ -378,41 +397,6 @@ class TestSolve:
             retained.objective_trace[-1], rel=1e-12)
         np.testing.assert_allclose(pinned.allocation.beta, 1.0, atol=1e-15)
 
-    def test_restart_from_own_output(self, reference):
-        first = solve(reference.devices, reference.system)
-        second = solve(reference.devices, reference.system, initial=first.allocation)
-        assert second.objective_trace[-1] == pytest.approx(
-            first.objective_trace[-1], rel=1e-9)
-        assert second.objective_trace[-1] <= first.objective_trace[-1] + 1e-12
-
-    @pytest.mark.parametrize("task_bits, energy_budget", [(3e7, 5.0), (1e8, 50.0), (3e8, 50.0)])
-    def test_restart_from_own_output_on_large_tasks(self, reference, task_bits, energy_budget):
-        # the rate slack is a few -1e-9 bits here, about -1e-16 of the bits carried
-        devices = tuple(replace(td, task_bits=task_bits, energy_budget=energy_budget)
-                        for td in reference.devices)
-        first = solve(devices, reference.system)
-        second = solve(devices, reference.system, initial=first.allocation)
-        assert second.objective_trace[-1] == pytest.approx(
-            first.objective_trace[-1], rel=1e-12)
-        assert second.iterations == 1
-
-    def test_relatively_short_uplink_rejected(self, reference):
-        # the same power for a 1e-6 shorter time carries about 1e-6 fewer bits
-        alloc = solve(reference.devices, reference.system).allocation
-        scale = 1.0 - 1e-6
-        short = replace(alloc, t_transmit=alloc.t_transmit * scale,
-                        e_transmit=alloc.e_transmit * scale)
-        with pytest.raises(FeasibilityError, match="initial allocation is infeasible"):
-            solve(reference.devices, reference.system, initial=short)
-
-    def test_nan_initial_rejected(self, reference):
-        alloc = solve(reference.devices, reference.system).allocation
-        t_transmit = alloc.t_transmit.copy()
-        t_transmit[3] = math.nan
-        with pytest.raises(FeasibilityError, match="initial allocation is infeasible"):
-            solve(reference.devices, reference.system,
-                  initial=replace(alloc, t_transmit=t_transmit))
-
     def test_zero_bit_tasks(self):
         cfg = SystemConfig()
         tds = [make_device(task_bits=0.0), make_device(task_bits=0.0)]
@@ -447,6 +431,8 @@ class TestSolve:
         report = solve(tds, cfg)
         alloc = report.allocation
         assert (alloc.f_remote[1], alloc.t_transmit[1], alloc.e_transmit[1]) == (0.0, 0.0, 0.0)
+        # the idle device keeps the unit factor and the hardware-capped local rate
+        assert (alloc.beta[1], alloc.f_local[1]) == (1.0, tds[1].f_local_max)
         # idle device contributes nothing to the shared budget or the max
         active = solve([tds[0], tds[2]], cfg)
         assert report.objective_trace[-1] == pytest.approx(
@@ -509,13 +495,6 @@ class TestSolve:
         with pytest.raises(ValueError, match="no devices"):
             call([], CFG)
 
-    def test_infeasible_initial_rejected(self):
-        td = make_device()
-        # energy budget violated: e_transmit alone exceeds E
-        bad = Allocation([1e9], [CFG.f_mec_total], [1.0], [2.0], [0.8], 1.0)
-        with pytest.raises(FeasibilityError):
-            solve([td], CFG, initial=bad)
-
     def test_block_input_validation(self):
         td = make_device()
         with pytest.raises(ValueError):
@@ -530,6 +509,22 @@ class TestSolve:
             optimal_beta(td, -1e9, 1e9, 0.1, 0.1, CFG)
         with pytest.raises(ValueError):
             optimal_beta(td, 1e9, 1e9, -0.1, 0.1, CFG)
+        # each wrapper names the argument that is NaN or inf
+        for bad in (math.nan, math.inf):
+            calls = {
+                "beta": [partial(optimal_local_rate, td, bad, 0.0, CFG),
+                         partial(transmit_bisection, td, bad, 1e9, CFG)],
+                "e_transmit": [partial(optimal_local_rate, td, 0.8, bad, CFG),
+                               partial(optimal_beta, td, 1e9, 1e9, 0.1, bad, CFG)],
+                "f_local": [partial(transmit_bisection, td, 0.8, bad, CFG),
+                            partial(optimal_beta, td, bad, 1e9, 0.1, 0.1, CFG)],
+                "f_remote": [partial(optimal_beta, td, 1e9, bad, 0.1, 0.1, CFG)],
+                "t_transmit": [partial(optimal_beta, td, 1e9, 1e9, bad, 0.1, CFG)],
+            }
+            for name, fns in calls.items():
+                for fn in fns:
+                    with pytest.raises(ValueError, match=f"^{name} must"):
+                        fn()
 
 
 class TestResiduals:
@@ -562,6 +557,24 @@ class TestResiduals:
         assert abs(res.capacity) == 0.0
         assert abs(res.e_power_cap[0]) == 0.0
         assert abs(res.beta_floor[0]) <= 1e-15
+
+    @pytest.mark.parametrize("check", [
+        partial(log_domain_residuals, tds=[make_device()], cfg=CFG),
+        lambda alloc: delay_breakdown([make_device()], alloc, CFG)],
+        ids=["log_domain_residuals", "delay_breakdown"])
+    def test_bad_allocation_rejected(self, check):
+        good = dict(f_local=[1e9], f_remote=[1e9], t_transmit=[0.1], e_transmit=[0.1],
+                    beta=[0.8], t_epigraph=1.0)
+        with pytest.raises(ValueError, match="allocation does not match the device list"):
+            check(Allocation(**{k: v * 2 if isinstance(v, list) else v
+                                for k, v in good.items()}))
+        for name in ("f_local", "f_remote", "t_transmit", "e_transmit", "beta", "t_epigraph"):
+            for bad in (math.nan, math.inf):
+                if name == "t_epigraph" and math.isnan(bad):
+                    continue  # the allocation itself rejects it
+                value = bad if name == "t_epigraph" else [bad]
+                with pytest.raises(ValueError, match="allocation entries must be finite"):
+                    check(Allocation(**{**good, name: value}))
 
     def test_domain_error_on_nonpositive(self):
         td = make_device()
