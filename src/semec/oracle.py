@@ -314,13 +314,13 @@ def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
     stops after the first block holding an improving probe. The result is
     the one a probe-by-probe loop with early exit gives.
 
-    Raises ValueError for a nonpositive ``step``, and for an allocation that
-    does not match the devices in length, holds a non-finite entry, leaves a
-    device with work without server share, or violates a constraint by more
-    than a relative 1e-9.
+    Raises ValueError for a ``step`` that is not finite and positive, and
+    for an allocation that does not match the devices in length, holds a
+    non-finite entry, leaves a device with work without server share, or
+    violates a constraint by more than a relative 1e-9.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be finite and positive")
     n = len(tds)
     if alloc.n_devices != n:
         raise ValueError("allocation and devices must have the same length")

@@ -4,11 +4,13 @@ The relaxed problem is convex once the extraction factor and the two compute
 rates are substituted by their logarithms, so block-coordinate descent with
 exact block solves converges monotonically. One outer iteration runs:
 
-1. extraction block: per device, the exact minimum over the factor of
-   extraction delay + minimal uplink time + remote delay, convex in the log
-   of the factor. The minimal uplink is at peak power in closed form, and on
-   a binding energy budget the Lambert-W closed form of the perspective rate
-   equation, solved by monotone Newton. The block generalizes the paper's
+1. extraction block: per device, the exact minimum over the factor in
+   [beta_min, 1] of extraction delay + minimal uplink time + remote delay,
+   convex in the log of the factor. The minimal uplink is at peak power in
+   closed form, and on a binding energy budget the Lambert-W closed form of
+   the perspective rate equation, solved by monotone Newton. The uplink solve
+   marks the factors that no uplink can serve with an infinite time, which
+   the search reads as the delay's barrier. The block generalizes the paper's
    closed form (:func:`optimal_beta`), which holds the uplink pair fixed;
 2. rate block: the energy-capped local rate in closed form, then monotone
    Newton on the delay cap that splits the server capacity so every active
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import List, Sequence
 
 import numpy as np
@@ -196,18 +197,19 @@ def _t_energy_limited(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
 
     With s = ln(1 + h*e/(t*sigma^2)) and c = bits*sigma^2*ln2/(h*e*B) the rate
     equation reads s = ln(1 + s/c), whose positive root (the W_{-1} branch of
-    Lambert's function) exists iff c < 1 and gives t = bits*ln2/(B*s). The
-    difference s - ln(1 + s/c) is convex and positive above the root, so
+    Lambert's function) exists iff e > 0 and c < 1 and gives t = bits*ln2/(B*s).
+    The difference s - ln(1 + s/c) is convex and positive above the root, so
     Newton's method started from s(t_power) descends to it monotonically.
-    The time is then nudged up until the float predicate holds.
+    The time is then nudged up until the float predicate holds. A lane where
+    no time carries the bits gets t = inf.
     """
     idx = np.flatnonzero(lanes)
     h, e, b = sc.h[idx], e_budget[idx], bits[idx]
-    c = b * sc.sigma2 * _LN2 / (h * e * sc.B)
-    if np.any(c >= 1.0):
-        raise FeasibilityError(int(idx[np.argmax(c >= 1.0)]), FeasibilityCause.RATE_CAP_TOO_LOW,
-                               "required bits exceed the energy-capped capacity")
-    s = np.log1p(h * e / (t_power[idx] * sc.sigma2))
+    with np.errstate(divide="ignore", over="ignore"):
+        c = b * sc.sigma2 * _LN2 / (h * e * sc.B)
+    fits = (e > 0) & (c < 1.0)
+    h, e, b, c = h[fits], e[fits], b[fits], c[fits]
+    s = np.log1p(h * e / (t_power[idx[fits]] * sc.sigma2))
     for _ in range(_MAX_ITERS):
         excess = s - np.log1p(s / c)
         gain = 1.0 - 1.0 / (c + s)
@@ -226,9 +228,10 @@ def _t_energy_limited(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
         t = np.where(short, t * (1.0 + nudge), t)
         nudge *= 2.0
     else:
-        raise FeasibilityError(int(idx[np.argmax(short)]), FeasibilityCause.RATE_CAP_TOO_LOW,
-                               "no time satisfies the rate condition")
-    return t
+        t = np.where(short, np.inf, t)
+    out = np.full(idx.size, np.inf)
+    out[fits] = t
+    return out
 
 
 def _uplink(sc: _Scenario, bits: np.ndarray,
@@ -252,6 +255,10 @@ def _transmit_block(sc: _Scenario, beta: np.ndarray,
         raise FeasibilityError(idx, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
                                "extraction energy exhausts the budget")
     t, energy_limited = _uplink(sc, beta * sc.A, e_budget)
+    short = np.isinf(t)
+    if np.any(short):
+        raise FeasibilityError(int(np.argmax(short)), FeasibilityCause.RATE_CAP_TOO_LOW,
+                               "required bits exceed the energy-capped capacity")
     # past peak power the energy cap binds, so the whole leftover budget is spent
     return t, np.where(energy_limited, e_budget, sc.p_max * t)
 
@@ -311,16 +318,6 @@ def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) 
     return np.where(sc.p >= 1.0, eta2, np.clip(mu, eta1, eta2))
 
 
-def _uplink_margin(sc: _Scenario, ext_coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # energy left after the cheapest uplink at the factor exp(x); >= 0 iff the
-    # uplink fits, at peak power or within 1e-12 of the saturated bound
-    beta = np.exp(x)
-    e_budget = sc.E - ext_coeff * beta**-sc.k
-    bits = beta * sc.A
-    return np.maximum(e_budget - sc.p_max * bits / sc.r_full,
-                      e_budget * (1.0 - 1e-12) - bits * sc.sigma2 * _LN2 / (sc.B * sc.h))
-
-
 def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray, fb: np.ndarray,
               lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shrink each bracket with f(xa) < 0 <= f(xb) on ``lanes`` to a few ulps.
@@ -328,7 +325,8 @@ def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray, fb: np.ndarray,
     Illinois false position (the value kept at an end surviving twice is
     halved), with each probe held ``tol`` inside the bracket so that it also
     closes from the far end, and a midpoint probe wherever the last three
-    probes did not halve the bracket; ``f`` maps all lanes at once.
+    probes did not halve the bracket; ``f`` maps all lanes at once. An end
+    value may be infinite: the midpoint probes until both are finite.
     """
     side = np.zeros(xa.shape)
     tol = _ULPS * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
@@ -338,7 +336,9 @@ def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray, fb: np.ndarray,
         open_lanes = lanes & (w0 > 2.0 * tol)
         if not np.any(open_lanes):
             break
-        xc = xb - fb * (xb - xa) / np.where(fb != fa, fb - fa, 1.0)
+        with np.errstate(invalid="ignore"):
+            # an infinite end makes the secant NaN or an end, and either fails the test below
+            xc = xb - fb * (xb - xa) / np.where(fb != fa, fb - fa, 1.0)
         secant = ((xc - xa) * (xc - xb) < 0) & (w0 <= 0.5 * w3)
         xc = np.where(secant, xc, 0.5 * (xa + xb))
         w3, w2, w1 = w2, w1, w0
@@ -361,39 +361,35 @@ def _refine_block(sc: _Scenario, beta, f_local,
 
     Minimizes extraction delay + minimal uplink time + remote delay, which
     is convex in the log of the factor (partial minimization of the jointly
-    convex subproblem), by a bracketed root search on its derivative. The
-    uplink pair is refreshed at the chosen factor.
+    convex subproblem), by a bracketed root search on its derivative over
+    [beta_min, 1]. Where no uplink carries the bits the delay is +inf, and
+    the incumbent factor is feasible, so the feasible factors form an
+    interval around it: there the slope is -inf below the incumbent and +inf
+    above. The uplink pair is refreshed at the chosen factor.
     """
     ext_coeff = sc.a * sc.A * sc.kappa * f_local**2
-    margin = partial(_uplink_margin, sc, ext_coeff)
-
-    def feasible_end(outer: np.ndarray) -> np.ndarray:
-        # the feasible factors form an interval around the current one
-        x_out = np.log(outer)
-        m_out = margin(x_out)
-        need = m_out < 0
-        if not np.any(need):
-            return outer
-        x_cur = np.log(beta)
-        _, xb = _illinois(margin, x_out, m_out, x_cur, margin(x_cur), need)
-        return np.where(need, np.exp(xb), outer)
-
-    lo = np.minimum(feasible_end(sc.beta_min), beta)
-    hi = np.maximum(feasible_end(np.ones(sc.n)), beta)
+    lo = sc.beta_min
+    hi = np.ones(sc.n)
 
     def slope(b: np.ndarray) -> np.ndarray:
         # devices without work have no server share, and 0/1e-300 is 0
         t_remote = _remote_cycles(sc, b) / np.maximum(f_remote, 1e-300)
         e_budget = sc.E - ext_coeff * b**-sc.k
         # at peak power the uplink time is linear in b: it is its own log-derivative
-        d_uplink, lanes = _uplink(sc, b * sc.A, e_budget)
+        t_uplink, lanes = _uplink(sc, b * sc.A, e_budget)
+        d_uplink = t_uplink
         if np.any(lanes):
-            q = sc.h * e_budget / (np.where(lanes, d_uplink, 1.0) * sc.sigma2)
-            dF_dt = (sc.B / _LN2) * (np.log1p(q) - q / (1.0 + q))
-            de_db = sc.k * ext_coeff * b ** (-sc.k - 1.0)
-            dF_db = (sc.B / _LN2) * sc.h * de_db / (sc.sigma2 * (1.0 + q)) - sc.A
-            dt_db = -dF_db / np.maximum(dF_dt, 1e-300)
-            d_uplink = np.where(lanes, b * dt_db, d_uplink)
+            # the lanes without an uplink are overwritten below
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                q = sc.h * e_budget / (np.where(lanes, t_uplink, 1.0) * sc.sigma2)
+                dF_dt = (sc.B / _LN2) * (np.log1p(q) - q / (1.0 + q))
+                de_db = sc.k * ext_coeff * b ** (-sc.k - 1.0)
+                dF_db = (sc.B / _LN2) * sc.h * de_db / (sc.sigma2 * (1.0 + q)) - sc.A
+                dt_db = -dF_db / np.maximum(dF_dt, 1e-300)
+            d_uplink = np.where(lanes, b * dt_db, t_uplink)
+            infeasible = np.isinf(t_uplink)
+            if np.any(infeasible):
+                d_uplink = np.where(infeasible, np.where(b < beta, -np.inf, np.inf), d_uplink)
         return -sc.k * _t_local(sc, b, f_local) + (1.0 - sc.p) * t_remote + d_uplink
 
     slope_lo = slope(lo)
@@ -558,7 +554,9 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
     """Run the full alternating optimization on a scenario from its start point.
 
     Returns a monotonically non-increasing objective trace; convergence is
-    declared when the relative objective change drops below ``eps_outer``.
+    declared when the relative objective change drops below ``eps_outer``,
+    or when a step would raise the objective, which only rounding does: the
+    incumbent is kept and the step is left out of the trace.
     Infeasible scenarios raise :class:`FeasibilityError`; hitting the outer
     iteration cap reports ``converged=False`` instead of raising.
     """
@@ -573,13 +571,30 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
         # only the energy that the uplink leaves over
         beta, t_transmit, e_transmit = _refine_block(sc, alloc.beta, alloc.f_local,
                                                      alloc.f_remote)
-        alloc = _split_server(sc, beta, _local_rate_block(sc, beta, e_transmit), t_transmit,
-                              e_transmit)
+        # an energy-limited uplink whose extraction energy is below half an ulp
+        # of the budget leaves E - e_transmit = 0 in float; the incumbent rate
+        # extracts with exactly that leftover
+        spent = e_transmit >= sc.E
+        f_local = np.where(spent, alloc.f_local,
+                           _local_rate_block(sc, beta, np.where(spent, 0.0, e_transmit)))
+        candidate = _split_server(sc, beta, f_local, t_transmit, e_transmit)
+        if candidate.t_epigraph > trace[-1]:
+            # a rise is rounding at the optimum: the incumbent is the answer
+            converged = True
+            break
+        alloc = candidate
         trace.append(alloc.t_epigraph)
         if abs(trace[-1] - trace[-2]) <= cfg.eps_outer * max(abs(trace[-1]), 1e-300):
             converged = True
             break
     return _report(sc, alloc, trace, iterations, converged)
+
+
+def _idle_at_unit(sc: _Scenario, beta: np.ndarray,
+                  f_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # devices without work evaluated at beta = f_local = 1, where A = 0 makes
+    # each closed form exactly 0 whatever the allocation holds for them
+    return np.where(sc.active, beta, 1.0), np.where(sc.active, f_local, 1.0)
 
 
 def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
@@ -600,9 +615,10 @@ def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
     if np.any(sc.active & (alloc.f_remote <= 0)):
         raise ValueError("f_remote must be positive for devices with work")
 
-    delays = _delays(sc, beta, f_local, alloc.t_transmit, alloc.f_remote)
+    beta_w, f_local_w = _idle_at_unit(sc, beta, f_local)
+    delays = _delays(sc, beta_w, f_local_w, alloc.t_transmit, alloc.f_remote)
     delay_cap = alloc.t_epigraph - delays
-    energy = sc.E - _extraction_energy(sc, beta, f_local) - alloc.e_transmit
+    energy = sc.E - _extraction_energy(sc, beta_w, f_local_w) - alloc.e_transmit
     rate = _uplink_bits(sc, alloc.e_transmit, alloc.t_transmit) - beta * sc.A
     rate = np.where(sc.active, rate, 0.0)
     f_local_cap = np.log(sc.f_max) - np.log(f_local)
@@ -626,10 +642,11 @@ def delay_breakdown(tds: Sequence[TerminalDevice], alloc: Allocation, cfg: Syste
     """
     sc = _Scenario(tds, cfg, extraction)
     _check_allocation(sc, alloc)
+    beta, f_local = _idle_at_unit(sc, alloc.beta, alloc.f_local)
     rows = np.zeros((sc.n, 4))
     m = sc.active
-    rows[m, 0] = _t_local(sc, alloc.beta, alloc.f_local)[m]
+    rows[m, 0] = _t_local(sc, beta, f_local)[m]
     rows[m, 1] = alloc.t_transmit[m]
-    rows[m, 2] = _remote_cycles(sc, alloc.beta)[m] / alloc.f_remote[m]
+    rows[m, 2] = _remote_cycles(sc, beta)[m] / alloc.f_remote[m]
     rows[:, 3] = rows[:, 0] + rows[:, 1] + rows[:, 2]
     return rows

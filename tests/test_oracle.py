@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -151,6 +152,13 @@ class TestPerturbationCertify:
             assert perturbation_certify(alloc, devices, cfg, n_probes=200, step=1e-3)
             idle = replace(alloc, f_remote=alloc.f_remote * 0.99)
             assert not perturbation_certify(idle, devices, cfg, n_probes=200, step=1e-3)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, reference_single, step):
+        report = solve(reference_single.devices, reference_single.system)
+        with pytest.raises(ValueError, match="^step must be finite and positive$"):
+            perturbation_certify(report.allocation, reference_single.devices,
+                                 reference_single.system, n_probes=10, step=step)
 
     def test_zero_probes_vacuous(self, reference_single):
         report = solve(reference_single.devices, reference_single.system)

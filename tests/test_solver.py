@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bisection_oracles import bits_carried, server_split_bisection, uplink_time_bisection
 from conftest import log_uniform, multi_device_draw, single_device_draw
@@ -15,16 +15,20 @@ from semec import (
     SystemConfig,
     TerminalDevice,
     delay_breakdown,
+    generate_channel_gains,
     log_domain_residuals,
     optimal_beta,
     optimal_local_rate,
+    perturbation_certify,
     remote_rate_bisection,
     solve,
     solve_local_only,
     solve_no_semantic,
     transmit_bisection,
 )
-from semec.model import semantic_constants
+from semec.model import DeviceTable, semantic_constants
+from semec.solver import (_extraction_energy, _refine_block, _remote_cycles, _Scenario,
+                          _t_local, _uplink)
 
 
 def make_device(**overrides) -> TerminalDevice:
@@ -35,6 +39,19 @@ def make_device(**overrides) -> TerminalDevice:
 
 
 CFG = SystemConfig()
+
+
+def assert_relatively_feasible(alloc: Allocation, tds, cfg: SystemConfig) -> None:
+    """Every constraint family holds to 1e-9 of its own size."""
+    table = DeviceTable.from_devices(tds)
+    r = log_domain_residuals(alloc, tds, cfg)
+    sizes = {"delay_cap": alloc.t_epigraph, "energy": table.energy_budget,
+             "rate": alloc.beta * table.task_bits, "f_local_cap": 1.0,
+             "capacity": cfg.f_mec_total, "e_nonneg": table.energy_budget,
+             "e_power_cap": table.p_tx_max * alloc.t_transmit, "beta_floor": 1.0,
+             "beta_ceiling": 1.0}
+    for name, size in sizes.items():
+        assert np.all(getattr(r, name) >= -1e-9 * size), name
 
 
 class TestOptimalLocalRate:
@@ -342,6 +359,59 @@ class TestOptimalBeta:
             checked += 1
 
 
+class TestRefineBlock:
+    def test_both_factor_ends_infeasible(self):
+        # at beta_min the extraction energy exceeds the budget, and at 1 the
+        # energy left cannot carry the bits, so the search brackets on two
+        # infinite ends; its answer must beat a fine scan of the factor
+        td = make_device(beta_min=0.05, energy_budget=0.06, channel_gain=1e-13)
+        cfg = SystemConfig(sem_a=1e-4)
+        f_local, f_remote = np.array([1e9]), np.array([13e9])
+        sc = _Scenario([td], cfg)
+        beta, t, _ = _refine_block(sc, np.array([0.3]), f_local, f_remote)
+        objective = float((_t_local(sc, beta, f_local) + t
+                           + _remote_cycles(sc, beta) / f_remote)[0])
+        assert beta[0] == pytest.approx(0.250593, rel=1e-6)
+        assert objective == pytest.approx(0.54244451929, rel=1e-10)
+
+        # the scan's uplink is the block's own, checked against bisection above
+        grid = np.geomspace(td.beta_min, 1.0, 200_000)
+        wide = _Scenario(DeviceTable(**{**asdict(td), "task_bits": np.full(grid.size, 3e6)}), cfg)
+        f_local, f_remote = np.full(grid.size, 1e9), np.full(grid.size, 13e9)
+        e_budget = td.energy_budget - _extraction_energy(wide, grid, f_local)
+        t_scan, _ = _uplink(wide, grid * td.task_bits, e_budget)
+        scan = _t_local(wide, grid, f_local) + t_scan + _remote_cycles(wide, grid) / f_remote
+        assert np.isinf(scan[0]) and np.isinf(scan[-1])
+        assert objective <= scan.min() * (1 + 1e-12)
+
+
+@st.composite
+def wide_box_draws(draw):
+    """One to four devices from the wide box: about one in seven without task
+    bits, and the rest mostly energy-limited or infeasible."""
+    n = draw(st.integers(1, 4))
+    gains = generate_channel_gains([draw(log_uniform(50.0, 800.0)) for _ in range(n)])
+    tds = [TerminalDevice(
+        task_bits=0.0 if draw(st.integers(0, 6)) == 0 else draw(log_uniform(3e5, 3e7)),
+        intensity=draw(log_uniform(20.0, 700.0)),
+        energy_coeff=draw(log_uniform(1e-27, 1e-25)),
+        f_local_max=draw(log_uniform(3e8, 2e9)), p_tx_max=draw(log_uniform(0.1, 2.0)),
+        beta_min=draw(log_uniform(0.05, 1.0)), energy_budget=draw(log_uniform(0.002, 1.0)),
+        channel_gain=float(gain)) for gain in gains]
+    cfg = SystemConfig(sem_a=draw(log_uniform(1e-6, 1e-2)), sem_k=draw(st.floats(1.0, 5.0)),
+                       sem_p=draw(st.sampled_from([0.5, 0.8, 1.5, 3.0])))
+    return tds, cfg
+
+
+# one step of this solve rose by two ulps at the optimum
+_RISING_WITNESS = (
+    [TerminalDevice(task_bits=6589621.451349257, intensity=566.1821450652096,
+                    energy_coeff=5.402165418026135e-27, f_local_max=1057060021.0804992,
+                    p_tx_max=1.9533862994450961, beta_min=0.14247386983679078,
+                    energy_budget=0.03696656254330965, channel_gain=5.514526013499737e-09)],
+    SystemConfig(sem_a=2.1898518269177743e-05, sem_k=3.921635694671529, sem_p=1.5))
+
+
 class TestSolve:
     def test_reference_scenario(self, reference):
         report = solve(reference.devices, reference.system)
@@ -416,14 +486,47 @@ class TestSolve:
         alloc = report.allocation
         assert report.converged
         assert np.all(np.diff(report.objective_trace) <= 0)
-        r = log_domain_residuals(alloc, [td], cfg)
-        sizes = {"delay_cap": alloc.t_epigraph, "energy": td.energy_budget,
-                 "rate": alloc.beta * td.task_bits, "f_local_cap": 1.0,
-                 "capacity": cfg.f_mec_total, "e_nonneg": td.energy_budget,
-                 "e_power_cap": td.p_tx_max * alloc.t_transmit, "beta_floor": 1.0,
-                 "beta_ceiling": 1.0}
-        for name, size in sizes.items():
-            assert np.all(getattr(r, name) >= -1e-9 * size), name
+        assert_relatively_feasible(alloc, [td], cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_box_draws())
+    @example(_RISING_WITNESS)
+    def test_feasible_answer_or_feasibility_error(self, draw):
+        tds, cfg = draw
+        try:
+            report = solve(tds, cfg)
+        except FeasibilityError:
+            return
+        alloc = report.allocation
+        assert all(np.all(np.isfinite(v)) for v in (alloc.f_local, alloc.f_remote,
+                                                     alloc.t_transmit, alloc.e_transmit,
+                                                     alloc.beta))
+        assert np.isfinite(alloc.t_epigraph)
+        assert np.all(np.diff(report.objective_trace) <= 0)
+        assert_relatively_feasible(alloc, tds, cfg)
+
+    def test_rise_at_optimum_keeps_incumbent(self):
+        # the third objective would be two ulps above the second: the loop
+        # stops with the second, which converged
+        report = solve(*_RISING_WITNESS)
+        assert report.objective_trace == [0.6743389577828974, 0.5878515685281758]
+        assert report.allocation.t_epigraph == report.objective_trace[-1]
+        assert report.converged
+
+    @pytest.mark.parametrize("call", [
+        lambda td, cfg: solve([td], cfg),
+        lambda td, cfg: solve_no_semantic([replace(td, beta_min=0.6)], cfg,
+                                          retain_extraction=True)],
+        ids=["solve", "retained_extraction"])
+    def test_extraction_energy_below_half_an_ulp(self, call):
+        # the extraction energy (3e-18 J) is below half an ulp of the budget,
+        # so the energy-limited uplink's share rounds to the whole budget
+        td = make_device(beta_min=1.0, energy_budget=0.05, channel_gain=1e-12)
+        cfg = SystemConfig(sem_a=1e-16)
+        report = call(td, cfg)
+        assert report.objective_trace[-1] == pytest.approx(0.7264539831541257, rel=1e-12)
+        assert_relatively_feasible(report.allocation, [td], cfg)
+        assert perturbation_certify(report.allocation, [td], cfg, n_probes=200, step=1e-3)
 
     def test_mixed_zero_and_active_tasks(self):
         cfg = SystemConfig()
@@ -575,6 +678,17 @@ class TestResiduals:
                 value = bad if name == "t_epigraph" else [bad]
                 with pytest.raises(ValueError, match="allocation entries must be finite"):
                     check(Allocation(**{**good, name: value}))
+
+    @pytest.mark.parametrize("beta, f_local", [(1e-100, 1e9), (0.8, 1e155)],
+                             ids=["tiny_factor", "huge_local_rate"])
+    def test_device_without_work_gets_exact_zeros(self, beta, f_local):
+        # beta**4 underflows and f_local**2 overflows, so the closed forms
+        # must not be evaluated at these entries
+        td = make_device(task_bits=0.0)
+        alloc = Allocation([f_local], [0.0], [0.0], [0.0], [beta], 1.0)
+        res = log_domain_residuals(alloc, [td], SystemConfig(sem_k=4.0))
+        assert (res.delay_cap[0], res.energy[0], res.rate[0]) == (1.0, td.energy_budget, 0.0)
+        assert np.all(delay_breakdown([td], alloc, SystemConfig(sem_k=4.0)) == 0.0)
 
     def test_domain_error_on_nonpositive(self):
         td = make_device()
