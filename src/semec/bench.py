@@ -306,13 +306,12 @@ def validate_sweep(scenario: Scenario, sweep: SweepSpec) -> None:
 
 
 def _run_algorithm(scenario: Scenario, algorithm: str) -> SolverReport:
+    # run_sweep has rejected every name outside ALGORITHMS
     if algorithm == "semantic":
         return solve(scenario.devices, scenario.system)
     if algorithm == "no-semantic":
         return solve_no_semantic(scenario.devices, scenario.system)
-    if algorithm == "local":
-        return solve_local_only(scenario.devices, scenario.system)
-    raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    return solve_local_only(scenario.devices, scenario.system)
 
 
 def _breakdown(scenario: Scenario, algorithm: str, report: SolverReport) -> np.ndarray:

@@ -9,9 +9,10 @@ exact block solves converges monotonically. One outer iteration runs:
    convex in the log of the factor. The minimal uplink is at peak power in
    closed form, and on a binding energy budget the Lambert-W closed form of
    the perspective rate equation, solved by monotone Newton. The uplink solve
-   marks the factors that no uplink can serve with an infinite time, which
-   the search reads as the delay's barrier. The block generalizes the paper's
-   closed form (:func:`optimal_beta`), which holds the uplink pair fixed;
+   returns its energy elasticity, from which the search reads the uplink's
+   log-derivative, and an infinite time where no uplink serves a factor,
+   which the search reads as the delay's barrier. The block generalizes the
+   paper's closed form (:func:`optimal_beta`), which holds the uplink pair fixed;
 2. rate block: the energy-capped local rate in closed form, then monotone
    Newton on the delay cap that splits the server capacity so every active
    device finishes at the same time.
@@ -156,16 +157,10 @@ def _remote_cycles(sc: _Scenario, beta: np.ndarray) -> np.ndarray:
 
 
 def _bits_carried(sc: _Scenario, h, e, t):
-    # the perspective rate t*B*log2(1 + h*e/(t*sigma^2)) for t > 0
-    return t * (sc.B / _LN2) * np.log1p(h * e / (t * sc.sigma2))
-
-
-def _uplink_bits(sc: _Scenario, e: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros(sc.n)
-    m = t > 0
-    if np.any(m):
-        out[m] = _bits_carried(sc, sc.h[m], e[m], t[m])
-    return out
+    # the perspective rate t*B*log2(1 + h*e/(t*sigma^2)), which is 0 at t = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bits = t * (sc.B / _LN2) * np.log1p(h * e / (t * sc.sigma2))
+    return np.where(t > 0, bits, 0.0)
 
 
 def _delays(sc: _Scenario, beta, f_local, t_transmit, f_remote) -> np.ndarray:
@@ -191,25 +186,33 @@ def _local_rate_block(sc: _Scenario, beta: np.ndarray, e_transmit: np.ndarray) -
     return np.minimum(sc.f_max, unclamped)
 
 
-def _t_energy_limited(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
-                      t_power: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-    """Smallest t with t*B*log2(1 + h*e_budget/(t*sigma^2)) >= bits, per lane.
+def _uplink(sc: _Scenario, bits: np.ndarray,
+            e_budget: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Smallest t with t*B*log2(1 + h*e_budget/(t*sigma^2)) >= bits, and its
+    energy elasticity w = -d ln t/d ln e_budget, per lane.
 
-    With s = ln(1 + h*e/(t*sigma^2)) and c = bits*sigma^2*ln2/(h*e*B) the rate
-    equation reads s = ln(1 + s/c), whose positive root (the W_{-1} branch of
-    Lambert's function) exists iff e > 0 and c < 1 and gives t = bits*ln2/(B*s).
-    The difference s - ln(1 + s/c) is convex and positive above the root, so
-    Newton's method started from s(t_power) descends to it monotonically.
-    The time is then nudged up until the float predicate holds. A lane where
-    no time carries the bits gets t = inf.
+    At peak power t = bits/r_full and w = 0, unless that overspends the budget.
+    Then, with s = ln(1 + h*e/(t*sigma^2)) and c = bits*sigma^2*ln2/(h*e*B),
+    the rate equation reads s = ln(1 + s/c), whose positive root (the W_{-1}
+    branch of Lambert's function) exists iff e > 0 and c < 1 and gives
+    t = bits*ln2/(B*s) and w = 1/(c + s - 1), so d ln t/d ln bits = 1 + w.
+    s - ln(1 + s/c) is convex and positive above the root, so Newton's method
+    started from s(t_power) descends to it monotonically; the time is then
+    nudged up until the float predicate holds. A lane where no time carries
+    the bits gets t = inf and w = 0. If every lane is at peak power, w is None.
     """
-    idx = np.flatnonzero(lanes)
-    h, e, b = sc.h[idx], e_budget[idx], bits[idx]
+    t = bits / sc.r_full
+    idx = np.flatnonzero(~(sc.p_max * t <= e_budget))
+    if idx.size == 0:
+        return t, None
+    h, e, b, t_power = sc.h[idx], e_budget[idx], bits[idx], t[idx]
     with np.errstate(divide="ignore", over="ignore"):
         c = b * sc.sigma2 * _LN2 / (h * e * sc.B)
     fits = (e > 0) & (c < 1.0)
-    h, e, b, c = h[fits], e[fits], b[fits], c[fits]
-    s = np.log1p(h * e / (t_power[idx[fits]] * sc.sigma2))
+    if not np.all(fits):
+        t[idx[~fits]] = np.inf
+        idx, h, e, b, c, t_power = (v[fits] for v in (idx, h, e, b, c, t_power))
+    s = np.log1p(h * e / (t_power * sc.sigma2))
     for _ in range(_MAX_ITERS):
         excess = s - np.log1p(s / c)
         gain = 1.0 - 1.0 / (c + s)
@@ -219,31 +222,22 @@ def _t_energy_limited(sc: _Scenario, bits: np.ndarray, e_budget: np.ndarray,
         if not np.any(moving):
             break
         s = np.where(moving, s - step, s)
-    t = b * _LN2 / (sc.B * s)
+    t_e = b * _LN2 / (sc.B * s)
     nudge = _ULPS
     for _ in range(_MAX_NUDGES):
-        short = _bits_carried(sc, h, e, t) < b
+        short = _bits_carried(sc, h, e, t_e) < b
         if not np.any(short):
             break
-        t = np.where(short, t * (1.0 + nudge), t)
+        t_e = np.where(short, t_e * (1.0 + nudge), t_e)
         nudge *= 2.0
     else:
-        t = np.where(short, np.inf, t)
-    out = np.full(idx.size, np.inf)
-    out[fits] = t
-    return out
-
-
-def _uplink(sc: _Scenario, bits: np.ndarray,
-            e_budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal uplink time for ``bits``, and where the energy cap binds: at
-    peak power unless that overspends ``e_budget``.
-    """
-    t = bits / sc.r_full
-    energy_limited = ~(sc.p_max * t <= e_budget)
-    if np.any(energy_limited):
-        t[energy_limited] = _t_energy_limited(sc, bits, e_budget, t, energy_limited)
-    return t, energy_limited
+        t_e = np.where(short, np.inf, t_e)
+    t[idx] = t_e
+    w = np.zeros(sc.n)
+    # at the root c + s - 1 = (s/2)*coth(s/2) - 1 + s/2 > s/2; where rounding
+    # (c within ulps of 1) breaks that bound, w takes the c -> 1 limit 2/s
+    w[idx] = np.where(np.isinf(t_e), 0.0, 1.0 / np.maximum(c + s - 1.0, 0.5 * s))
+    return t, w
 
 
 def _transmit_block(sc: _Scenario, beta: np.ndarray,
@@ -254,13 +248,13 @@ def _transmit_block(sc: _Scenario, beta: np.ndarray,
         idx = int(np.argmax(bad))
         raise FeasibilityError(idx, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
                                "extraction energy exhausts the budget")
-    t, energy_limited = _uplink(sc, beta * sc.A, e_budget)
+    t, _ = _uplink(sc, beta * sc.A, e_budget)
     short = np.isinf(t)
     if np.any(short):
         raise FeasibilityError(int(np.argmax(short)), FeasibilityCause.RATE_CAP_TOO_LOW,
                                "required bits exceed the energy-capped capacity")
-    # past peak power the energy cap binds, so the whole leftover budget is spent
-    return t, np.where(energy_limited, e_budget, sc.p_max * t)
+    # where the budget binds, p_max*t overspends it, and the uplink spends it whole
+    return t, np.minimum(sc.p_max * t, e_budget)
 
 
 def _remote_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
@@ -305,7 +299,7 @@ def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) 
             (sc.a * sc.A * sc.kappa * f_local**2 / np.maximum(remaining, 1e-300))
             ** (1.0 / sc.k),
         )
-        cap_bits = _uplink_bits(sc, e_transmit, t_transmit)
+        cap_bits = _bits_carried(sc, sc.h, e_transmit, t_transmit)
         eta2 = np.minimum(1.0, cap_bits / np.maximum(sc.A, 1e-300))
     empty = (remaining <= 0) | (eta1 > eta2 * (1.0 + 1e-12) + 1e-300)
     if np.any(empty):
@@ -375,18 +369,14 @@ def _refine_block(sc: _Scenario, beta, f_local,
         # devices without work have no server share, and 0/1e-300 is 0
         t_remote = _remote_cycles(sc, b) / np.maximum(f_remote, 1e-300)
         e_budget = sc.E - ext_coeff * b**-sc.k
-        # at peak power the uplink time is linear in b: it is its own log-derivative
-        t_uplink, lanes = _uplink(sc, b * sc.A, e_budget)
+        t_uplink, w = _uplink(sc, b * sc.A, e_budget)
+        # dt/d ln b is t at peak power; on a binding budget d ln t = (1+w) d ln bits - w d ln e
         d_uplink = t_uplink
-        if np.any(lanes):
+        if w is not None:
             # the lanes without an uplink are overwritten below
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                q = sc.h * e_budget / (np.where(lanes, t_uplink, 1.0) * sc.sigma2)
-                dF_dt = (sc.B / _LN2) * (np.log1p(q) - q / (1.0 + q))
-                de_db = sc.k * ext_coeff * b ** (-sc.k - 1.0)
-                dF_db = (sc.B / _LN2) * sc.h * de_db / (sc.sigma2 * (1.0 + q)) - sc.A
-                dt_db = -dF_db / np.maximum(dF_dt, 1e-300)
-            d_uplink = np.where(lanes, b * dt_db, t_uplink)
+                e_extract = ext_coeff * b**-sc.k
+                d_uplink = t_uplink * (1.0 + w * (1.0 - sc.k * e_extract / e_budget))
             infeasible = np.isinf(t_uplink)
             if np.any(infeasible):
                 d_uplink = np.where(infeasible, np.where(b < beta, -np.inf, np.inf), d_uplink)
@@ -619,7 +609,7 @@ def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
     delays = _delays(sc, beta_w, f_local_w, alloc.t_transmit, alloc.f_remote)
     delay_cap = alloc.t_epigraph - delays
     energy = sc.E - _extraction_energy(sc, beta_w, f_local_w) - alloc.e_transmit
-    rate = _uplink_bits(sc, alloc.e_transmit, alloc.t_transmit) - beta * sc.A
+    rate = _bits_carried(sc, sc.h, alloc.e_transmit, alloc.t_transmit) - beta * sc.A
     rate = np.where(sc.active, rate, 0.0)
     f_local_cap = np.log(sc.f_max) - np.log(f_local)
     capacity = float(sc.F - alloc.f_remote.sum())

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import importlib.util
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semec.bench
 from semec import (
     ScenarioError,
     SweepSpec,
@@ -332,6 +334,37 @@ class TestCli:
                          "--sweep", "task_bits=3e6,1e13"])
         assert code == 1
         assert "cell failed" in capsys.readouterr().err
+
+    def test_failed_certificate_fails_only_the_semantic_cells(self, tmp_path, monkeypatch):
+        args = ["--scenario", str(SCENARIO_PATH), "--sweep", "energy_budget=0.4,0.6",
+                "--algorithm", "semantic", "--algorithm", "no-semantic",
+                "--algorithm", "local", "--verify"]
+        certified, failed = tmp_path / "certified.csv", tmp_path / "failed.csv"
+        assert cli_main(args + ["--out", str(certified)]) == 0
+        monkeypatch.setattr(semec.bench, "perturbation_certify", lambda *a, **kw: False)
+        assert cli_main(args + ["--out", str(failed)]) == 1
+        with open(certified, newline="") as a, open(failed, newline="") as b:
+            rows = list(zip(csv.DictReader(a), csv.DictReader(b)))
+        assert len(rows) == 6
+        for before, after in rows:
+            if after["algorithm"] == "semantic":
+                assert after["error"] == "optimality certification failed"
+                assert after["max_delay_s"] == "nan" and after["per_device_beta"] == "[]"
+            else:
+                assert after == before
+
+    @pytest.mark.parametrize("value,message", [
+        ("energy_budget", "expected PARAM=v1,v2,..."),
+        ("nosuch=1", "unknown sweep parameter 'nosuch'; choose from "),
+        ("energy_budget=a", "bad sweep values: could not convert string to float: 'a'")],
+        ids=["no_equals_sign", "unknown_param", "non_numeric_value"])
+    def test_malformed_sweep_text(self, tmp_path, capsys, value, message):
+        out = tmp_path / "bad.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(out), "--sweep", value])
+        assert exc.value.code == 2
+        assert f"argument --sweep: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scenario_file(self, tmp_path):
         code = cli_main(["--scenario", str(tmp_path / "nope.json"),

@@ -17,7 +17,7 @@ from semec import (
     solve_no_semantic,
 )
 from semec.model import semantic_constants
-from semec.solver import _Scenario, _uplink_bits
+from semec.solver import _bits_carried, _Scenario
 
 
 def make_device(**overrides) -> TerminalDevice:
@@ -46,7 +46,7 @@ def breakdown(td: TerminalDevice, cfg: SystemConfig = CFG, **values) -> np.ndarr
 def uplink_bits(td: TerminalDevice, e, t) -> np.ndarray:
     """Bits the solver's perspective rate delivers with energies ``e`` in times ``t``."""
     e, t = np.asarray(e, dtype=float), np.asarray(t, dtype=float)
-    return _uplink_bits(_Scenario([td] * e.size, CFG), e, t)
+    return _bits_carried(_Scenario([td] * e.size, CFG), td.channel_gain, e, t)
 
 
 class TestValidation:

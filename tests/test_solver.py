@@ -290,6 +290,40 @@ class TestBlockOracles:
             return  # the capacity is too abundant for the bisection's bracket
         assert abs(t_cap - oracle) <= 1e-12 * oracle
 
+    def test_uplink_elasticity_matches_central_difference(self):
+        # energy-limited lanes at c = bits*sigma^2*ln2/(h*e*B) from far below 1
+        # to within 1e-6 of it, where w ~ 1/(1 - c) grows without bound
+        c = np.array([0.01, 0.3, 0.9, 1.0 - 9e-7])
+        gains = np.array([8e-10, 1e-12, 3e-11, 2e-12])
+        bits = np.array([2e6, 3e6, 1e7, 5e6])
+        sc = _Scenario(DeviceTable(**{**asdict(make_device()), "channel_gain": gains,
+                                      "task_bits": bits}), CFG)
+        e = bits * CFG.noise_power_w * math.log(2.0) / (gains * c * CFG.bandwidth_hz)
+        t, w = _uplink(sc, bits, e)
+        assert np.all(np.isfinite(t)) and np.all(w > 0) and np.all(np.isfinite(w))
+
+        # fourth-order central differences, with steps well inside 1 - c
+        h = 1e-2 / (1.0 + w)
+
+        def derivative(log_t):
+            return (-log_t(2 * h) + 8 * log_t(h) - 8 * log_t(-h) + log_t(-2 * h)) / (12 * h)
+
+        d_log_e = derivative(lambda x: np.log(_uplink(sc, bits, e * np.exp(x))[0]))
+        d_log_bits = derivative(lambda x: np.log(_uplink(sc, bits * np.exp(x), e)[0]))
+        np.testing.assert_allclose(-d_log_e, w, rtol=1e-6)
+        np.testing.assert_allclose(d_log_bits, 1.0 + w, rtol=1e-6)
+
+    def test_uplink_elasticity_finite_where_c_rounds_to_one(self):
+        # lanes one or two ulps below c = 1, where c + s - 1 rounds to 0 or below
+        bits = np.array([627786.9508615147, 131213.04788546203, 74181360.3583529])
+        gains = np.array([4.523829777455103e-11, 1.4798266330699557e-12, 2.8104808749420897e-11])
+        gap = np.array([2.0**-53, 2.0**-53, 2.0**-52])
+        sc = _Scenario(DeviceTable(**{**asdict(make_device()), "channel_gain": gains,
+                                      "task_bits": bits}), CFG)
+        e = bits * CFG.noise_power_w * math.log(2.0) / (gains * (1.0 - gap) * CFG.bandwidth_hz)
+        t, w = _uplink(sc, bits, e)
+        assert np.all(np.isfinite(t)) and np.all(w > 0) and np.all(np.isfinite(w))
+
 
 class TestOptimalBeta:
     def test_reference_constants_take_upper_end(self):
@@ -403,8 +437,16 @@ def wide_box_draws(draw):
     return tds, cfg
 
 
-# one step of this solve rose by two ulps at the optimum
+# the second step of this solve rises by one ulp at the optimum
 _RISING_WITNESS = (
+    [TerminalDevice(task_bits=24962086.18248292, intensity=75.35434082614373,
+                    energy_coeff=1.955153050525635e-27, f_local_max=342551332.02212095,
+                    p_tx_max=0.22255800604291096, beta_min=0.18309273660868705,
+                    energy_budget=0.22993005759613583, channel_gain=2.6544072199072237e-11)],
+    SystemConfig(sem_a=7.506993747986214e-05, sem_k=2.0770513471955354, sem_p=3.0))
+
+# an energy-limited draw whose third objective equals its second
+_EQUAL_STEP_DRAW = (
     [TerminalDevice(task_bits=6589621.451349257, intensity=566.1821450652096,
                     energy_coeff=5.402165418026135e-27, f_local_max=1057060021.0804992,
                     p_tx_max=1.9533862994450961, beta_min=0.14247386983679078,
@@ -488,9 +530,33 @@ class TestSolve:
         assert np.all(np.diff(report.objective_trace) <= 0)
         assert_relatively_feasible(alloc, [td], cfg)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: no block trades extraction "
+                       "energy for uplink energy, so the loop stalls above the optimum")
+    @pytest.mark.parametrize("td,cfg,resolution", [
+        (make_device(task_bits=1.6716e6, intensity=553.86, energy_coeff=9.2991e-26,
+                     f_local_max=1.4859e9, p_tx_max=0.68995, beta_min=0.27699,
+                     energy_budget=0.03559, channel_gain=3.8784e-13),
+         SystemConfig(f_mec_total=1.7665e10, sem_a=5.077e-3, sem_k=5, sem_p=0.8), 128),
+        (make_device(energy_coeff=1e-25, energy_budget=2e-3, channel_gain=8.9e-10),
+         SystemConfig(sem_a=1e-2), 256)],
+        ids=["hardware_capped_rate", "energy_capped_rate"])
+    def test_reaches_grid_optimum_on_energy_limited_uplink(self, td, cfg, resolution):
+        """Extraction energy competes with an energy-limited uplink.
+
+        ``solve`` stops at 0.4710 s on the first device, whose local rate is
+        hardware-capped, and at 0.3306 s on the second, whose local rate is
+        energy-capped; the grid finds 0.16997 s and 0.20704 s. Both answers
+        pass ``perturbation_certify`` at 200 probes and step 1e-3, the
+        ``--verify`` setting, so the certificate cannot catch them.
+        """
+        from semec import GridSpec, default_grid_bounds, grid_optimum
+        grid_obj, _ = grid_optimum([td], cfg, GridSpec(resolution, default_grid_bounds([td], cfg)))
+        assert solve([td], cfg).objective_trace[-1] <= grid_obj * (1 + 1e-3)
+
     @settings(max_examples=150, deadline=None)
     @given(wide_box_draws())
-    @example(_RISING_WITNESS)
+    @example(_EQUAL_STEP_DRAW)
     def test_feasible_answer_or_feasibility_error(self, draw):
         tds, cfg = draw
         try:
@@ -506,10 +572,11 @@ class TestSolve:
         assert_relatively_feasible(alloc, tds, cfg)
 
     def test_rise_at_optimum_keeps_incumbent(self):
-        # the third objective would be two ulps above the second: the loop
+        # the third objective would be one ulp above the second: the loop
         # stops with the second, which converged
         report = solve(*_RISING_WITNESS)
-        assert report.objective_trace == [0.6743389577828974, 0.5878515685281758]
+        assert report.objective_trace == [2.8774459708373223, 1.7819543239890636]
+        assert report.iterations == 2
         assert report.allocation.t_epigraph == report.objective_trace[-1]
         assert report.converged
 
