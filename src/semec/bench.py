@@ -90,7 +90,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter and the values it takes."""
+    """One swept parameter and the values it takes, at least one."""
 
     param: str
     values: Tuple[float, ...]
@@ -100,6 +100,8 @@ class SweepSpec:
             raise ScenarioError(
                 f"unknown sweep parameter {self.param!r}; choose from {SWEEPABLE_PARAMS}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not self.values:
+            raise ScenarioError(f"the {self.param} sweep lists no values")
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ def _parse_sweep(text: str) -> SweepSpec:
         raise argparse.ArgumentTypeError(
             f"unknown sweep parameter {name!r}; choose from {', '.join(SWEEPABLE_PARAMS)}")
     try:
-        parsed = tuple(float(v) for v in values.split(",") if v.strip() != "")
-    except ValueError as exc:
+        return SweepSpec(name, [float(v) for v in values.split(",") if v.strip() != ""])
+    except ValueError as exc:  # a word, or no value at all
         raise argparse.ArgumentTypeError(f"bad sweep values: {exc}") from exc
-    return SweepSpec(name, parsed)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -133,9 +133,10 @@ class _Scenario:
         self.h = table.channel_gain
         self.a, self.k, self.p = table.semantic_constants(cfg)
         if not extraction:
-            # raw upload: a = 0 drops the extraction pass, p = 1 keeps the raw workload A*I
+            # raw upload: no extraction (a = 0), raw workload A*I (p = 1), factor held at 1
             self.a = np.zeros(self.n)
             self.p = np.ones(self.n)
+            self.beta_min = np.ones(self.n)
         self.B = cfg.bandwidth_hz
         self.sigma2 = cfg.noise_power_w
         self.F = cfg.f_mec_total
@@ -175,15 +176,10 @@ def _delays(sc: _Scenario, beta, f_local, t_transmit, f_remote) -> np.ndarray:
 
 
 def _local_rate_block(sc: _Scenario, beta: np.ndarray, e_transmit: np.ndarray) -> np.ndarray:
-    remaining = sc.E - e_transmit
-    bad = remaining <= 0
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise FeasibilityError(idx, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
-                               "no energy left for extraction")
     with np.errstate(divide="ignore", invalid="ignore"):
-        unclamped = np.sqrt(beta**sc.k * np.maximum(remaining, 0.0) / (sc.a * sc.A * sc.kappa))
-    return np.minimum(sc.f_max, unclamped)
+        unclamped = np.sqrt(beta**sc.k * np.maximum(sc.E - e_transmit, 0.0)
+                            / (sc.a * sc.A * sc.kappa))
+    return np.fmin(sc.f_max, unclamped)  # 0/0, where nothing is extracted, leaves the cap
 
 
 def _uplink(sc: _Scenario, bits: np.ndarray,
@@ -445,6 +441,9 @@ def optimal_local_rate(td: TerminalDevice, beta: float, e_transmit: float,
     _check_input("e_transmit", e_transmit)
     if td.task_bits == 0:
         return td.f_local_max
+    if e_transmit >= td.energy_budget:
+        raise FeasibilityError(0, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
+                               "no energy left for extraction")
     sc = _Scenario([td], cfg)
     return float(_local_rate_block(sc, np.array([beta]), np.array([e_transmit]))[0])
 
@@ -521,13 +520,13 @@ def _report(sc: _Scenario, alloc: Allocation, trace: List[float], iterations: in
 
 
 def _start(sc: _Scenario) -> Allocation:
-    # the factor at 1, and the local rate that spends the full budget on
-    # extraction, or half where the full budget would leave the uplink none
-    beta = np.ones(sc.n)
-    f_local = _local_rate_block(sc, beta, np.zeros(sc.n))
-    exhausted = _extraction_energy(sc, beta, f_local) >= sc.E
-    if np.any(exhausted):
-        f_local = np.where(exhausted, _local_rate_block(sc, beta, 0.5 * sc.E), f_local)
+    # no uplink carries beta*A bits on less than beta*m joules (E_b/N_0 >= ln 2), so
+    # beta_min*m < E iff feasible: the factor leaves the least uplink half the budget
+    # (1 without work, where m = 0), and extraction spends half of what it leaves
+    with np.errstate(divide="ignore", over="ignore"):
+        m = sc.A * sc.sigma2 * _LN2 / (sc.h * sc.B)
+        beta = np.clip(sc.E / (2.0 * m), sc.beta_min, 1.0)
+    f_local = _local_rate_block(sc, beta, 0.5 * (sc.E + beta * m))
     return _split_server(sc, beta, f_local, *_transmit_block(sc, beta, f_local))
 
 
@@ -565,8 +564,7 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
         # of the budget leaves E - e_transmit = 0 in float; the incumbent rate
         # extracts with exactly that leftover
         spent = e_transmit >= sc.E
-        f_local = np.where(spent, alloc.f_local,
-                           _local_rate_block(sc, beta, np.where(spent, 0.0, e_transmit)))
+        f_local = np.where(spent, alloc.f_local, _local_rate_block(sc, beta, e_transmit))
         candidate = _split_server(sc, beta, f_local, t_transmit, e_transmit)
         if candidate.t_epigraph > trace[-1]:
             # a rise is rounding at the optimum: the incumbent is the answer

@@ -215,8 +215,9 @@ class TestRunSweep:
         delays = [r.max_delay_s for r in results]
         assert np.all(np.diff(delays) <= 1e-9)
 
-    def test_empty_values(self, reference):
-        assert run_sweep(reference, SweepSpec("task_bits", ()), ["semantic"]) == []
+    def test_empty_values(self):
+        with pytest.raises(ScenarioError, match="^the task_bits sweep lists no values$"):
+            SweepSpec("task_bits", ())
 
     def test_cell_failure_recorded_without_abort(self, reference):
         # the middle value is impossible to upload within the energy budget
@@ -356,8 +357,11 @@ class TestCli:
     @pytest.mark.parametrize("value,message", [
         ("energy_budget", "expected PARAM=v1,v2,..."),
         ("nosuch=1", "unknown sweep parameter 'nosuch'; choose from "),
-        ("energy_budget=a", "bad sweep values: could not convert string to float: 'a'")],
-        ids=["no_equals_sign", "unknown_param", "non_numeric_value"])
+        ("energy_budget=a", "bad sweep values: could not convert string to float: 'a'"),
+        ("energy_budget=", "bad sweep values: the energy_budget sweep lists no values"),
+        ("energy_budget= , ", "bad sweep values: the energy_budget sweep lists no values")],
+        ids=["no_equals_sign", "unknown_param", "non_numeric_value", "no_values",
+             "blank_values"])
     def test_malformed_sweep_text(self, tmp_path, capsys, value, message):
         out = tmp_path / "bad.csv"
         with pytest.raises(SystemExit) as exc:

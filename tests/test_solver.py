@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bisection_oracles import bits_carried, server_split_bisection, uplink_time_bisection
 from conftest import log_uniform, multi_device_draw, single_device_draw
@@ -454,6 +454,10 @@ _EQUAL_STEP_DRAW = (
     SystemConfig(sem_a=2.1898518269177743e-05, sem_k=3.921635694671529, sem_p=1.5))
 
 
+# at 800 m: raw upload cannot carry the task on this budget, extraction can
+_FAR_DEVICE = make_device(energy_budget=0.02, channel_gain=3.5841126307531745e-13)
+
+
 class TestSolve:
     def test_reference_scenario(self, reference):
         report = solve(reference.devices, reference.system)
@@ -517,9 +521,10 @@ class TestSolve:
         assert report.converged
 
     def test_half_budget_start(self):
-        # extraction at the hardware cap would spend this budget whole, so the
-        # loop starts from the local rate that spends half of it. The answer is
-        # feasible and the trace descends, but it is not optimal: no block
+        # extraction at the hardware cap would spend this budget whole; the
+        # start keeps the factor at 1 (the least uplink energy is 0.5% of the
+        # budget) and extracts with half of what that uplink leaves. The answer
+        # is feasible and the trace descends, but it is not optimal: no block
         # trades extraction energy for uplink energy, and a grid finds a 37%
         # lower delay. So no optimality is asserted here.
         td = make_device(energy_coeff=1e-25, energy_budget=2e-3, channel_gain=8.9e-10)
@@ -558,11 +563,21 @@ class TestSolve:
     @given(wide_box_draws())
     @example(_EQUAL_STEP_DRAW)
     def test_feasible_answer_or_feasibility_error(self, draw):
+        # no uplink carries beta*A bits on less than beta*A*sigma^2*ln2/(h*B)
+        # joules (the wideband limit E_b/N_0 >= ln 2), so a device can be served
+        # iff that energy at its floor factor is below its budget
         tds, cfg = draw
-        try:
-            report = solve(tds, cfg)
-        except FeasibilityError:
+        need = np.array([td.beta_min * td.task_bits * cfg.noise_power_w * math.log(2.0)
+                         / (td.channel_gain * cfg.bandwidth_hz * td.energy_budget)
+                         for td in tds])
+        assume(np.all(np.abs(need - 1.0) > 1e-9))
+        if np.any(need >= 1.0):
+            with pytest.raises(FeasibilityError) as exc:
+                solve(tds, cfg)
+            assert exc.value.device_index == int(np.argmax(need >= 1.0))
+            assert exc.value.cause is FeasibilityCause.RATE_CAP_TOO_LOW
             return
+        report = solve(tds, cfg)
         alloc = report.allocation
         assert all(np.all(np.isfinite(v)) for v in (alloc.f_local, alloc.f_remote,
                                                      alloc.t_transmit, alloc.e_transmit,
@@ -570,6 +585,48 @@ class TestSolve:
         assert np.isfinite(alloc.t_epigraph)
         assert np.all(np.diff(report.objective_trace) <= 0)
         assert_relatively_feasible(alloc, tds, cfg)
+
+    def test_extraction_serves_a_device_raw_upload_cannot(self):
+        # at 800 m even the wideband limit of the raw upload needs 1.155 times
+        # the budget, so only a factor below 1 can be served
+        td = _FAR_DEVICE
+        report = solve([td], CFG)
+        assert report.allocation.beta[0] == 0.6
+        assert report.objective_trace[-1] == pytest.approx(1.8439190365746037, rel=1e-12)
+        assert_relatively_feasible(report.allocation, [td], CFG)
+        assert perturbation_certify(report.allocation, [td], CFG, n_probes=200, step=1e-3)
+        from semec import GridSpec, default_grid_bounds, grid_optimum
+        grid_obj, _ = grid_optimum([td], CFG, GridSpec(128, default_grid_bounds([td], CFG)))
+        assert report.objective_trace[-1] <= grid_obj
+        for retain in (False, True):
+            with pytest.raises(FeasibilityError) as exc:
+                solve_no_semantic([td], CFG, retain_extraction=retain)
+            assert (exc.value.device_index, exc.value.cause) == (
+                0, FeasibilityCause.RATE_CAP_TOO_LOW)
+        assert solve_local_only([td], CFG).objective_trace[-1] == pytest.approx(2.15186,
+                                                                                rel=1e-5)
+
+    def test_start_leaves_the_uplink_energy(self):
+        # the local rate that spends the whole budget on extraction rounds one
+        # ulp short of it here, leaving the uplink 2e-19 J, while the least
+        # uplink energy at the floor factor is 0.8% of the budget
+        td = make_device(task_bits=4749953.43154874, energy_coeff=1e-25,
+                         energy_budget=0.0011502777333419153, channel_gain=8.9e-10)
+        cfg = SystemConfig(sem_a=1e-2)
+        report = solve([td], cfg)
+        assert report.objective_trace[-1] == pytest.approx(0.6375308592374768, rel=1e-12)
+        assert np.all(np.diff(report.objective_trace) <= 0)
+        assert_relatively_feasible(report.allocation, [td], cfg)
+        assert perturbation_certify(report.allocation, [td], cfg, n_probes=200, step=1e-3)
+
+    def test_error_names_the_first_device_no_factor_serves(self):
+        # raw upload fails on both devices, and the floor factor only on the
+        # second, at 1000 m
+        tds = [_FAR_DEVICE, replace(_FAR_DEVICE, channel_gain=1.5488166189124858e-13)]
+        with pytest.raises(FeasibilityError) as exc:
+            solve(tds, CFG)
+        assert (exc.value.device_index, exc.value.cause) == (
+            1, FeasibilityCause.RATE_CAP_TOO_LOW)
 
     def test_rise_at_optimum_keeps_incumbent(self):
         # the third objective would be one ulp above the second: the loop
