@@ -6,13 +6,13 @@ exact block solves converges monotonically. One outer iteration runs:
 
 1. extraction block: per device, the exact minimum over the factor in
    [beta_min, 1] of extraction delay + minimal uplink time + remote delay,
-   convex in the log of the factor. The minimal uplink is at peak power in
-   closed form, and on a binding energy budget the Lambert-W closed form of
-   the perspective rate equation, solved by monotone Newton. The uplink solve
-   returns its energy elasticity, from which the search reads the uplink's
-   log-derivative, and an infinite time where no uplink serves a factor,
-   which the search reads as the delay's barrier. The block generalizes the
-   paper's closed form (:func:`optimal_beta`), which holds the uplink pair fixed;
+   convex in the log of the factor, by a root search on its slope run only
+   where the root is interior. The minimal uplink is at peak power, or on a
+   binding energy budget the Lambert-W root of the perspective rate
+   equation, by monotone Newton; it returns its energy elasticity, which
+   gives the slope's uplink term, and an infinite time where no uplink serves
+   a factor, the delay's barrier. The block generalizes the paper's closed
+   form (:func:`optimal_beta`), which holds the uplink pair fixed;
 2. rate block: the energy-capped local rate in closed form, then monotone
    Newton on the delay cap that splits the server capacity so every active
    device finishes at the same time.
@@ -143,6 +143,15 @@ class _Scenario:
         self.active = self.A > 0
         self.r_full = self.B * np.log2(1.0 + self.h * self.p_max / self.sigma2)
 
+    def take(self, idx: np.ndarray) -> _Scenario:
+        """The scenario of the devices ``idx``, sharing the system scalars."""
+        sub = object.__new__(_Scenario)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            setattr(sub, name, value[idx] if isinstance(value, np.ndarray) else value)
+        sub.n = len(idx)
+        return sub
+
 
 # A = 0 makes each closed form exactly 0, so devices without work need no mask
 def _extraction_energy(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray) -> np.ndarray:
@@ -183,7 +192,7 @@ def _local_rate_block(sc: _Scenario, beta: np.ndarray, e_transmit: np.ndarray) -
 
 
 def _uplink(sc: _Scenario, bits: np.ndarray,
-            e_budget: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+            e_budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest t with t*B*log2(1 + h*e_budget/(t*sigma^2)) >= bits, and its
     energy elasticity w = -d ln t/d ln e_budget, per lane.
 
@@ -195,12 +204,12 @@ def _uplink(sc: _Scenario, bits: np.ndarray,
     s - ln(1 + s/c) is convex and positive above the root, so Newton's method
     started from s(t_power) descends to it monotonically; the time is then
     nudged up until the float predicate holds. A lane where no time carries
-    the bits gets t = inf and w = 0. If every lane is at peak power, w is None.
+    the bits gets t = inf and w = 0.
     """
     t = bits / sc.r_full
     idx = np.flatnonzero(~(sc.p_max * t <= e_budget))
     if idx.size == 0:
-        return t, None
+        return t, np.zeros(sc.n)
     h, e, b, t_power = sc.h[idx], e_budget[idx], bits[idx], t[idx]
     with np.errstate(divide="ignore", over="ignore"):
         c = b * sc.sigma2 * _LN2 / (h * e * sc.B)
@@ -239,15 +248,14 @@ def _uplink(sc: _Scenario, bits: np.ndarray,
 def _transmit_block(sc: _Scenario, beta: np.ndarray,
                     f_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e_budget = sc.E - _extraction_energy(sc, beta, f_local)
-    bad = e_budget <= 0
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise FeasibilityError(idx, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
-                               "extraction energy exhausts the budget")
     t, _ = _uplink(sc, beta * sc.A, e_budget)
     short = np.isinf(t)
     if np.any(short):
-        raise FeasibilityError(int(np.argmax(short)), FeasibilityCause.RATE_CAP_TOO_LOW,
+        i = int(np.argmax(short))
+        if e_budget[i] <= 0:
+            raise FeasibilityError(i, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
+                                   "extraction energy exhausts the budget")
+        raise FeasibilityError(i, FeasibilityCause.RATE_CAP_TOO_LOW,
                                "required bits exceed the energy-capped capacity")
     # where the budget binds, p_max*t overspends it, and the uplink spends it whole
     return t, np.minimum(sc.p_max * t, e_budget)
@@ -308,9 +316,9 @@ def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) 
     return np.where(sc.p >= 1.0, eta2, np.clip(mu, eta1, eta2))
 
 
-def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray, fb: np.ndarray,
-              lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink each bracket with f(xa) < 0 <= f(xb) on ``lanes`` to a few ulps.
+def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray,
+              fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink each bracket with f(xa) < 0 <= f(xb) to a few ulps.
 
     Illinois false position (the value kept at an end surviving twice is
     halved), with each probe held ``tol`` inside the bracket so that it also
@@ -323,7 +331,7 @@ def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray, fb: np.ndarray,
     w1 = w2 = w3 = np.full(xa.shape, np.inf)  # bracket widths 1-3 probes back
     for _ in range(_MAX_ITERS):
         w0 = np.abs(xb - xa)
-        open_lanes = lanes & (w0 > 2.0 * tol)
+        open_lanes = w0 > 2.0 * tol
         if not np.any(open_lanes):
             break
         with np.errstate(invalid="ignore"):
@@ -345,6 +353,20 @@ def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray, fb: np.ndarray,
     return xa, xb
 
 
+def _factor_slope(sc: _Scenario, b, f_local, f_remote, incumbent) -> np.ndarray:
+    """d/d ln b of the refine block's delay; +-inf (its barrier) where no uplink serves b."""
+    # devices without work have no server share, and 0/1e-300 is 0
+    t_remote = _remote_cycles(sc, b) / np.maximum(f_remote, 1e-300)
+    e_extract = sc.a * sc.A * sc.kappa * f_local**2 * b**-sc.k
+    e_budget = sc.E - e_extract
+    t_uplink, w = _uplink(sc, b * sc.A, e_budget)
+    # d ln t = (1+w) d ln bits - w d ln e (w = 0 at peak power); no-uplink lanes are set below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_uplink = t_uplink * (1.0 + w * (1.0 - sc.k * e_extract / e_budget))
+    d_uplink = np.where(np.isinf(t_uplink), np.where(b < incumbent, -np.inf, np.inf), d_uplink)
+    return -sc.k * _t_local(sc, b, f_local) + (1.0 - sc.p) * t_remote + d_uplink
+
+
 def _refine_block(sc: _Scenario, beta, f_local,
                   f_remote) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-device exact minimization over the extraction factor.
@@ -352,44 +374,22 @@ def _refine_block(sc: _Scenario, beta, f_local,
     Minimizes extraction delay + minimal uplink time + remote delay, which
     is convex in the log of the factor (partial minimization of the jointly
     convex subproblem), by a bracketed root search on its derivative over
-    [beta_min, 1]. Where no uplink carries the bits the delay is +inf, and
-    the incumbent factor is feasible, so the feasible factors form an
-    interval around it: there the slope is -inf below the incumbent and +inf
-    above. The uplink pair is refreshed at the chosen factor.
+    [beta_min, 1], run only on the devices whose root is interior. Where no
+    uplink carries the bits the delay is +inf, and the incumbent factor is
+    feasible, so the feasible factors form an interval around it. The uplink
+    pair is refreshed at the chosen factor.
     """
-    ext_coeff = sc.a * sc.A * sc.kappa * f_local**2
     lo = sc.beta_min
-    hi = np.ones(sc.n)
-
-    def slope(b: np.ndarray) -> np.ndarray:
-        # devices without work have no server share, and 0/1e-300 is 0
-        t_remote = _remote_cycles(sc, b) / np.maximum(f_remote, 1e-300)
-        e_budget = sc.E - ext_coeff * b**-sc.k
-        t_uplink, w = _uplink(sc, b * sc.A, e_budget)
-        # dt/d ln b is t at peak power; on a binding budget d ln t = (1+w) d ln bits - w d ln e
-        d_uplink = t_uplink
-        if w is not None:
-            # the lanes without an uplink are overwritten below
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                e_extract = ext_coeff * b**-sc.k
-                d_uplink = t_uplink * (1.0 + w * (1.0 - sc.k * e_extract / e_budget))
-            infeasible = np.isinf(t_uplink)
-            if np.any(infeasible):
-                d_uplink = np.where(infeasible, np.where(b < beta, -np.inf, np.inf), d_uplink)
-        return -sc.k * _t_local(sc, b, f_local) + (1.0 - sc.p) * t_remote + d_uplink
-
-    slope_lo = slope(lo)
-    slope_hi = slope(hi)
-    at_lo = slope_lo >= 0
-    at_hi = ~at_lo & (slope_hi <= 0)
-    interior = ~at_lo & ~at_hi
-    xa, xb = _illinois(lambda x: slope(np.exp(x)), np.log(lo), slope_lo,
-                       np.log(hi), slope_hi, interior)
-    # the at-end lanes take their end exactly
-    beta = np.where(interior, np.exp(0.5 * (xa + xb)), np.where(at_lo, lo, hi))
-    # devices without work have zero slope, so they would sit at beta_min: pin them at 1
-    beta = np.where(sc.active, np.clip(beta, lo, hi), 1.0)
-    return (beta, *_transmit_block(sc, beta, f_local))
+    slope_lo, slope_hi = (_factor_slope(sc, b, f_local, f_remote, beta) for b in (lo, 1.0))
+    # at-end lanes take their end exactly; devices without work, of zero slope, take 1
+    beta_new = np.where(slope_hi <= 0, 1.0, lo)
+    idx = np.flatnonzero(~(slope_lo >= 0) & ~(slope_hi <= 0))
+    if idx.size:
+        sub, fl, fr, inc = sc.take(idx), f_local[idx], f_remote[idx], beta[idx]
+        xa, xb = _illinois(lambda x: _factor_slope(sub, np.exp(x), fl, fr, inc),
+                           np.log(sub.beta_min), slope_lo[idx], 0.0, slope_hi[idx])
+        beta_new[idx] = np.clip(np.exp(0.5 * (xa + xb)), sub.beta_min, 1.0)
+    return (beta_new, *_transmit_block(sc, beta_new, f_local))
 
 
 # --- public operations ------------------------------------------------------

@@ -82,6 +82,24 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="fading_seed"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("doc,message", [
+        (minimal_doc(devices={"count": 2}), "devices mapping needs a 'uniform' template"),
+        (minimal_doc(devices="reference"), "devices must be a list or a uniform template mapping"),
+        ({k: v for k, v in minimal_doc().items() if k != "channel"}, "channel section is required"),
+        (minimal_doc(channel={"gains": [1e-10, 0.0]}), "channel gains must be positive"),
+    ], ids=["no-uniform-template", "devices-string", "no-channel", "zero-gain"])
+    def test_section_errors_name_the_rule(self, doc, message):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value) == message
+
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"{path}: scenario document must be a JSON object"
+
     def test_parse_error_has_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  broken\n}")

@@ -112,6 +112,22 @@ class TestSequenceView:
         with pytest.raises(ValueError, match=r"^devices\[0\]: energy_budget must be finite"):
             table.replace(energy_budget=-1.0)
 
+    def test_unknown_column_rejected(self):
+        with pytest.raises(TypeError) as exc:
+            table_of(bogus=[1.0, 1.0])
+        assert str(exc.value) == "unknown device field(s) ['bogus']"
+
+    def test_missing_column_rejected(self):
+        with pytest.raises(TypeError) as exc:
+            DeviceTable(**{name: [value] * 2 for name, value in DEVICE.items()
+                           if name != "channel_gain"})
+        assert str(exc.value) == "missing device column(s) ['channel_gain']"
+
+    def test_some_column_must_list(self):
+        with pytest.raises(ValueError) as exc:
+            DeviceTable(**DEVICE)
+        assert str(exc.value) == "at least one column must list one number per device"
+
     def test_scenario_converts_a_device_sequence(self, reference):
         scn = replace(reference, devices=tuple(reference.devices))
         assert isinstance(scn.devices, DeviceTable) and scn == reference

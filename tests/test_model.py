@@ -102,6 +102,10 @@ class TestValidation:
             with pytest.raises(ValueError, match=name):
                 SystemConfig(**{name: value})
 
+    def test_integer_beyond_every_float(self):
+        with pytest.raises(ValueError, match=r"^task_bits must be finite and nonnegative$"):
+            make_device(task_bits=10**400)
+
     def test_integers_and_numpy_floats_are_numbers(self):
         td = make_device(task_bits=3_000_000, intensity=np.float32(70.0), sem_k=4)
         cfg = SystemConfig(bandwidth_hz=np.float64(1e6), noise_psd_dbm_hz=-174)

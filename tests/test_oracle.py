@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from certify_oracle import perturbation_certify_loop, probe_directions
 from conftest import log_uniform, multi_device_draw, single_device_draw
 from semec import (
+    FeasibilityCause,
     FeasibilityError,
     GridSpec,
     SystemConfig,
@@ -90,6 +91,33 @@ class TestGridOptimum:
                   "t_transmit": (1e-3, 0.5), "e_transmit": (0.0, 1e-12)}
         with pytest.raises(FeasibilityError):
             grid_optimum([td], CFG, GridSpec(16, bounds))
+
+    def test_two_devices_without_a_feasible_point(self):
+        tds = [make_device(energy_budget=1e-12)] * 2
+        bounds = {"beta": (0.6, 1.0), "f_local": (1e6, 1e9),
+                  "t_transmit": (1e-3, 0.5), "e_transmit": (0.0, 1e-12)}
+        with pytest.raises(FeasibilityError) as exc:
+            grid_optimum(tds, CFG, GridSpec(16, bounds))
+        assert (exc.value.device_index, exc.value.cause) == (
+            -1, FeasibilityCause.INVALID_SCENARIO)
+        assert str(exc.value) == "device -1: InvalidScenario (no feasible grid point)"
+
+    def test_default_bounds_need_a_device_with_work(self):
+        with pytest.raises(ValueError) as exc:
+            default_grid_bounds([make_device(task_bits=0.0)], CFG)
+        assert str(exc.value) == "default bounds need at least one device with work"
+
+    def test_device_without_work_leaves_the_largest_share(self):
+        # the idle device's grid point is the unit factor at the local-rate
+        # cap with no uplink and no share, so the other device's largest
+        # share on the split axis, 31/32, is the best split
+        tds = [make_device(), make_device(task_bits=0.0)]
+        bounds = default_grid_bounds(tds, CFG)
+        obj, alloc = grid_optimum(tds, CFG, GridSpec(16, bounds))
+        assert (alloc.beta[1], alloc.f_local[1], alloc.t_transmit[1], alloc.e_transmit[1],
+                alloc.f_remote[1]) == (1.0, 1e9, 0.0, 0.0, 0.0)
+        alone = SystemConfig(f_mec_total=CFG.f_mec_total * 31 / 32)
+        assert obj == grid_optimum(tds[:1], alone, GridSpec(16, bounds))[0]
 
     def test_two_devices_symmetric_split(self):
         cfg = SystemConfig()

@@ -28,7 +28,7 @@ from semec import (
 )
 from semec.model import DeviceTable, semantic_constants
 from semec.solver import (_extraction_energy, _refine_block, _remote_cycles, _Scenario,
-                          _t_local, _uplink)
+                          _start, _t_local, _uplink)
 
 
 def make_device(**overrides) -> TerminalDevice:
@@ -324,6 +324,13 @@ class TestBlockOracles:
         t, w = _uplink(sc, bits, e)
         assert np.all(np.isfinite(t)) and np.all(w > 0) and np.all(np.isfinite(w))
 
+    def test_uplink_at_peak_power_has_zero_elasticity(self):
+        # ten times the budget leaves every lane at peak power, where w is all zeros
+        sc = _Scenario([make_device(), make_device(channel_gain=4e-11)], CFG)
+        t, w = _uplink(sc, sc.A, 10.0 * sc.E)
+        assert isinstance(w, np.ndarray) and w.shape == (2,) and np.all(w == 0.0)
+        assert t.tobytes() == (sc.A / sc.r_full).tobytes()
+
 
 class TestOptimalBeta:
     def test_reference_constants_take_upper_end(self):
@@ -356,6 +363,10 @@ class TestOptimalBeta:
         e_transmit = snr * t_transmit * CFG.noise_power_w / td.channel_gain
         beta = optimal_beta(td, 1e9, 1.3e9, t_transmit, e_transmit, CFG)
         assert beta == pytest.approx(td.beta_min, rel=1e-9)
+
+    def test_zero_task_takes_unit_factor(self):
+        beta = optimal_beta(make_device(task_bits=0.0), 1e9, 1.3e9, 0.1, 0.1, CFG)
+        assert type(beta) is float and beta == 1.0
 
     def test_empty_interval_raises(self):
         td = make_device()
@@ -420,10 +431,10 @@ class TestRefineBlock:
 
 
 @st.composite
-def wide_box_draws(draw):
-    """One to four devices from the wide box: about one in seven without task
-    bits, and the rest mostly energy-limited or infeasible."""
-    n = draw(st.integers(1, 4))
+def wide_box_draws(draw, max_n: int = 4):
+    """One to ``max_n`` devices from the wide box: about one in seven without
+    task bits, and the rest mostly energy-limited or infeasible."""
+    n = draw(st.integers(1, max_n))
     gains = generate_channel_gains([draw(log_uniform(50.0, 800.0)) for _ in range(n)])
     tds = [TerminalDevice(
         task_bits=0.0 if draw(st.integers(0, 6)) == 0 else draw(log_uniform(3e5, 3e7)),
@@ -435,6 +446,47 @@ def wide_box_draws(draw):
     cfg = SystemConfig(sem_a=draw(log_uniform(1e-6, 1e-2)), sem_k=draw(st.floats(1.0, 5.0)),
                        sem_p=draw(st.sampled_from([0.5, 0.8, 1.5, 3.0])))
     return tds, cfg
+
+
+class TestLaneIndependence:
+    """A device's result does not depend on the devices beside it in a call:
+    each inner loop freezes a lane once it stops, and its steps depend only
+    on the step count. The factor search relies on this to run on the
+    devices whose root is interior alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_box_draws(max_n=8))
+    def test_refine_block_matches_each_device_alone(self, draw):
+        tds, cfg = draw
+        sc = _Scenario(tds, cfg)
+        try:
+            start = _start(sc)
+        except FeasibilityError:
+            assume(False)
+        together = _refine_block(sc, start.beta, start.f_local, start.f_remote)
+        for i, td in enumerate(tds):
+            own = slice(i, i + 1)
+            alone = _refine_block(_Scenario([td], cfg), start.beta[own], start.f_local[own],
+                                  start.f_remote[own])
+            for joint, single in zip(together, alone):
+                assert joint[own].tobytes() == single.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_box_draws(max_n=8), st.data())
+    def test_uplink_on_a_subset_matches_the_whole(self, draw, data):
+        tds, cfg = draw
+        n = len(tds)
+        sc = _Scenario(tds, cfg)
+        # budgets from ample to none mix lanes at peak power, energy-limited
+        # lanes and lanes without an uplink
+        share = data.draw(st.lists(st.sampled_from([1.0, 0.1, 1e-3, 0.0, -1.0]),
+                                   min_size=n, max_size=n))
+        bits, e_budget = sc.beta_min * sc.A, np.array(share) * sc.E
+        idx = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        t, w = _uplink(sc, bits, e_budget)
+        t_sub, w_sub = _uplink(sc.take(idx), bits[idx], e_budget[idx])
+        assert t_sub.tobytes() == t[idx].tobytes()
+        assert w_sub.tobytes() == w[idx].tobytes()
 
 
 # the second step of this solve rises by one ulp at the optimum
@@ -813,6 +865,16 @@ class TestResiduals:
         res = log_domain_residuals(alloc, [td], SystemConfig(sem_k=4.0))
         assert (res.delay_cap[0], res.energy[0], res.rate[0]) == (1.0, td.energy_budget, 0.0)
         assert np.all(delay_breakdown([td], alloc, SystemConfig(sem_k=4.0)) == 0.0)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("t_transmit", -0.1, "uplink time and energy must be nonnegative"),
+        ("e_transmit", -0.1, "uplink time and energy must be nonnegative"),
+        ("f_remote", 0.0, "f_remote must be positive for devices with work")])
+    def test_uplink_sign_and_server_share_rejected(self, name, value, message):
+        good = dict(f_local=[1e9], f_remote=[1e9], t_transmit=[0.1], e_transmit=[0.1],
+                    beta=[0.8], t_epigraph=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            log_domain_residuals(Allocation(**{**good, name: [value]}), [make_device()], CFG)
 
     def test_domain_error_on_nonpositive(self):
         td = make_device()
