@@ -155,23 +155,14 @@ def grid_optimum(tds: Sequence[TerminalDevice], cfg: SystemConfig,
     n = len(tds)
     if n == 0 or n > 2:
         raise ValueError("grid_optimum supports one or two devices")
-
     if n == 1:
-        result = _best_single(tds[0], cfg, cfg.f_mec_total, grid, grid.resolution_per_axis)
-        if result is None:
-            raise FeasibilityError(0, FeasibilityCause.INVALID_SCENARIO,
-                                   "no feasible grid point")
-        obj, (b, fl, t, e) = result
-        share = cfg.f_mec_total if tds[0].task_bits > 0 else 0.0
-        alloc = Allocation(np.array([fl]), np.array([share]), np.array([t]),
-                           np.array([e]), np.array([b]), obj)
-        return obj, alloc
-
-    resolution = min(grid.resolution_per_axis, _N2_RESOLUTION_CAP)
-    splits = np.arange(1, _N2_SPLITS + 1) / (_N2_SPLITS + 1)
+        splits, resolution = [1.0], grid.resolution_per_axis
+    else:
+        splits = np.arange(1, _N2_SPLITS + 1) / (_N2_SPLITS + 1)
+        resolution = min(grid.resolution_per_axis, _N2_RESOLUTION_CAP)
     best = None
     for s in splits:
-        shares = (s * cfg.f_mec_total, (1.0 - s) * cfg.f_mec_total)
+        shares = (s * cfg.f_mec_total, (1.0 - s) * cfg.f_mec_total)[:n]
         points = [_best_single(td, cfg, share, grid, resolution)
                   for td, share in zip(tds, shares)]
         if any(pt is None for pt in points):
@@ -180,7 +171,7 @@ def grid_optimum(tds: Sequence[TerminalDevice], cfg: SystemConfig,
         if best is None or objective < best[0]:
             best = (objective, shares, [pt[1] for pt in points])
     if best is None:
-        raise FeasibilityError(-1, FeasibilityCause.INVALID_SCENARIO,
+        raise FeasibilityError(0 if n == 1 else -1, FeasibilityCause.INVALID_SCENARIO,
                                "no feasible grid point")
     objective, shares, pts = best
     alloc = Allocation(

@@ -141,7 +141,10 @@ class _Scenario:
         self.sigma2 = cfg.noise_power_w
         self.F = cfg.f_mec_total
         self.active = self.A > 0
-        self.r_full = self.B * np.log2(1.0 + self.h * self.p_max / self.sigma2)
+        # the peak-power rate rounds to 0 where h*p_max/sigma^2 is below half an
+        # ulp of 1; devices without work send nothing, and get 1 to divide by
+        self.r_full = np.where(self.active,
+                               self.B * np.log2(1.0 + self.h * self.p_max / self.sigma2), 1.0)
 
     def take(self, idx: np.ndarray) -> _Scenario:
         """The scenario of the devices ``idx``, sharing the system scalars."""
@@ -166,6 +169,11 @@ def _remote_cycles(sc: _Scenario, beta: np.ndarray) -> np.ndarray:
     return sc.A * sc.I * beta ** (1.0 - sc.p)
 
 
+def _t_remote(sc: _Scenario, beta: np.ndarray, f_remote: np.ndarray) -> np.ndarray:
+    # devices without work have no server share, and 0/1e-300 is 0
+    return _remote_cycles(sc, beta) / np.maximum(f_remote, 1e-300)
+
+
 def _bits_carried(sc: _Scenario, h, e, t):
     # the perspective rate t*B*log2(1 + h*e/(t*sigma^2)), which is 0 at t = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,11 +182,7 @@ def _bits_carried(sc: _Scenario, h, e, t):
 
 
 def _delays(sc: _Scenario, beta, f_local, t_transmit, f_remote) -> np.ndarray:
-    w = _remote_cycles(sc, beta)
-    t_remote = np.zeros(sc.n)
-    m = sc.active
-    t_remote[m] = w[m] / f_remote[m]
-    return _t_local(sc, beta, f_local) + t_transmit + t_remote
+    return _t_local(sc, beta, f_local) + t_transmit + _t_remote(sc, beta, f_remote)
 
 
 # --- block solves -----------------------------------------------------------
@@ -206,7 +210,8 @@ def _uplink(sc: _Scenario, bits: np.ndarray,
     nudged up until the float predicate holds. A lane where no time carries
     the bits gets t = inf and w = 0.
     """
-    t = bits / sc.r_full
+    with np.errstate(divide="ignore"):  # a zero peak-power rate takes the energy-limited path
+        t = bits / sc.r_full
     idx = np.flatnonzero(~(sc.p_max * t <= e_budget))
     if idx.size == 0:
         return t, np.zeros(sc.n)
@@ -355,16 +360,14 @@ def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray,
 
 def _factor_slope(sc: _Scenario, b, f_local, f_remote, incumbent) -> np.ndarray:
     """d/d ln b of the refine block's delay; +-inf (its barrier) where no uplink serves b."""
-    # devices without work have no server share, and 0/1e-300 is 0
-    t_remote = _remote_cycles(sc, b) / np.maximum(f_remote, 1e-300)
-    e_extract = sc.a * sc.A * sc.kappa * f_local**2 * b**-sc.k
+    e_extract = _extraction_energy(sc, b, f_local)
     e_budget = sc.E - e_extract
     t_uplink, w = _uplink(sc, b * sc.A, e_budget)
     # d ln t = (1+w) d ln bits - w d ln e (w = 0 at peak power); no-uplink lanes are set below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d_uplink = t_uplink * (1.0 + w * (1.0 - sc.k * e_extract / e_budget))
     d_uplink = np.where(np.isinf(t_uplink), np.where(b < incumbent, -np.inf, np.inf), d_uplink)
-    return -sc.k * _t_local(sc, b, f_local) + (1.0 - sc.p) * t_remote + d_uplink
+    return -sc.k * _t_local(sc, b, f_local) + (1.0 - sc.p) * _t_remote(sc, b, f_remote) + d_uplink
 
 
 def _refine_block(sc: _Scenario, beta, f_local,
@@ -421,12 +424,25 @@ def _input_column(name: str, values: Sequence[float], n: int) -> np.ndarray:
     return column
 
 
-def _check_allocation(sc: _Scenario, alloc: Allocation) -> None:
+def _checked_point(sc: _Scenario, alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
+    """The (beta, f_local) at which the closed forms read an allocation.
+
+    Devices without work are read at beta = f_local = 1, where A = 0 makes
+    each closed form exactly 0 whatever the allocation holds for them.
+    Raises ValueError for an allocation that no closed form may read.
+    """
     if alloc.n_devices != sc.n:
         raise ValueError("allocation does not match the device list")
     vectors = (alloc.f_local, alloc.f_remote, alloc.t_transmit, alloc.e_transmit, alloc.beta)
     if not (math.isfinite(alloc.t_epigraph) and all(np.isfinite(v).all() for v in vectors)):
         raise ValueError("allocation entries must be finite")
+    if np.any(alloc.beta <= 0) or np.any(alloc.f_local <= 0):
+        raise ValueError("beta and f_local must be strictly positive")
+    if np.any(alloc.t_transmit < 0) or np.any(alloc.e_transmit < 0):
+        raise ValueError("uplink time and energy must be nonnegative")
+    if np.any(sc.active & (alloc.f_remote <= 0)):
+        raise ValueError("f_remote must be positive for devices with work")
+    return np.where(sc.active, alloc.beta, 1.0), np.where(sc.active, alloc.f_local, 1.0)
 
 
 def optimal_local_rate(td: TerminalDevice, beta: float, e_transmit: float,
@@ -578,43 +594,26 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
     return _report(sc, alloc, trace, iterations, converged)
 
 
-def _idle_at_unit(sc: _Scenario, beta: np.ndarray,
-                  f_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # devices without work evaluated at beta = f_local = 1, where A = 0 makes
-    # each closed form exactly 0 whatever the allocation holds for them
-    return np.where(sc.active, beta, 1.0), np.where(sc.active, f_local, 1.0)
-
-
 def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
                          cfg: SystemConfig) -> ConstraintResiduals:
     """Signed slack of every constraint of the convexified problem.
 
-    Positive values mean satisfied. Raises on nonpositive entries where the
-    log substitution is taken, and on non-finite entries.
+    Positive values mean satisfied. Raises ValueError for the allocations
+    :func:`delay_breakdown` rejects.
     """
     sc = _Scenario(tds, cfg)
-    _check_allocation(sc, alloc)
-    beta = alloc.beta
-    f_local = alloc.f_local
-    if np.any(beta <= 0) or np.any(f_local <= 0):
-        raise ValueError("beta and f_local must be strictly positive")
-    if np.any(alloc.t_transmit < 0) or np.any(alloc.e_transmit < 0):
-        raise ValueError("uplink time and energy must be nonnegative")
-    if np.any(sc.active & (alloc.f_remote <= 0)):
-        raise ValueError("f_remote must be positive for devices with work")
-
-    beta_w, f_local_w = _idle_at_unit(sc, beta, f_local)
+    beta_w, f_local_w = _checked_point(sc, alloc)
     delays = _delays(sc, beta_w, f_local_w, alloc.t_transmit, alloc.f_remote)
     delay_cap = alloc.t_epigraph - delays
     energy = sc.E - _extraction_energy(sc, beta_w, f_local_w) - alloc.e_transmit
-    rate = _bits_carried(sc, sc.h, alloc.e_transmit, alloc.t_transmit) - beta * sc.A
+    rate = _bits_carried(sc, sc.h, alloc.e_transmit, alloc.t_transmit) - alloc.beta * sc.A
     rate = np.where(sc.active, rate, 0.0)
-    f_local_cap = np.log(sc.f_max) - np.log(f_local)
+    f_local_cap = np.log(sc.f_max) - np.log(alloc.f_local)
     capacity = float(sc.F - alloc.f_remote.sum())
     e_nonneg = alloc.e_transmit.copy()
     e_power_cap = sc.p_max * alloc.t_transmit - alloc.e_transmit
-    beta_floor = np.log(beta) - np.log(sc.beta_min)
-    beta_ceiling = -np.log(beta)
+    beta_floor = np.log(alloc.beta) - np.log(sc.beta_min)
+    beta_ceiling = -np.log(alloc.beta)
     return ConstraintResiduals(delay_cap, energy, rate, f_local_cap, capacity,
                                e_nonneg, e_power_cap, beta_floor, beta_ceiling)
 
@@ -626,15 +625,13 @@ def delay_breakdown(tds: Sequence[TerminalDevice], alloc: Allocation, cfg: Syste
     The closed forms and the order of the sum are the solver's objective's;
     devices without task bits get a zero row, and ``extraction=False`` drops
     the extraction pass as the raw-upload baseline does. Raises ValueError
-    for an allocation of another length or with a non-finite entry.
+    for an allocation of another length, with a non-finite entry, with a
+    factor or local rate that is not positive, with a negative uplink time
+    or energy, or without a positive server share for a device with work.
     """
     sc = _Scenario(tds, cfg, extraction)
-    _check_allocation(sc, alloc)
-    beta, f_local = _idle_at_unit(sc, alloc.beta, alloc.f_local)
-    rows = np.zeros((sc.n, 4))
-    m = sc.active
-    rows[m, 0] = _t_local(sc, beta, f_local)[m]
-    rows[m, 1] = alloc.t_transmit[m]
-    rows[m, 2] = _remote_cycles(sc, beta)[m] / alloc.f_remote[m]
-    rows[:, 3] = rows[:, 0] + rows[:, 1] + rows[:, 2]
-    return rows
+    beta, f_local = _checked_point(sc, alloc)
+    t_local = _t_local(sc, beta, f_local)
+    t_transmit = np.where(sc.active, alloc.t_transmit, 0.0)
+    t_remote = _t_remote(sc, beta, alloc.f_remote)
+    return np.stack([t_local, t_transmit, t_remote, t_local + t_transmit + t_remote], axis=1)

@@ -510,6 +510,11 @@ _EQUAL_STEP_DRAW = (
 _FAR_DEVICE = make_device(energy_budget=0.02, channel_gain=3.5841126307531745e-13)
 
 
+_OFFLOADING_SOLVES = pytest.mark.parametrize(
+    "call", [solve, solve_no_semantic, partial(solve_no_semantic, retain_extraction=True)],
+    ids=["solve", "raw_upload", "retained_extraction"])
+
+
 class TestSolve:
     def test_reference_scenario(self, reference):
         report = solve(reference.devices, reference.system)
@@ -717,6 +722,34 @@ class TestSolve:
         assert report.objective_trace[-1] == pytest.approx(
             active.objective_trace[-1], rel=1e-9)
 
+    @_OFFLOADING_SOLVES
+    def test_device_without_work_at_zero_peak_rate(self, call):
+        # h*p_max/sigma^2 = 1e-40/4e-15 rounds 1 + it to 1, so the peak-power
+        # rate is 0; a device without work sends nothing and changes nothing
+        report = call([make_device(), make_device(task_bits=0.0, channel_gain=1e-40)], CFG)
+        assert report.objective_trace == call([make_device()], CFG).objective_trace
+
+    @_OFFLOADING_SOLVES
+    def test_device_with_work_at_zero_peak_rate(self, call):
+        with pytest.raises(FeasibilityError) as exc:
+            call([make_device(), make_device(channel_gain=1e-40)], CFG)
+        assert (exc.value.device_index, exc.value.cause) == (
+            1, FeasibilityCause.RATE_CAP_TOO_LOW)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_box_draws(max_n=8))
+    def test_breakdown_reads_the_objective(self, draw):
+        # the CSV's rows add the solver's own delay terms in its own order
+        tds, cfg = draw
+        try:
+            report = solve(tds, cfg)
+        except FeasibilityError:
+            assume(False)
+        rows = delay_breakdown(tds, report.allocation, cfg)
+        assert rows[:, 3].max() == report.allocation.t_epigraph
+        assert ((report.objective_trace[-1] - rows[:, 3]).tobytes()
+                == report.tightness_residuals.tobytes())
+
     def test_device_order_invariance(self):
         rng = np.random.default_rng(77)
         tds, cfg = multi_device_draw(rng)
@@ -806,6 +839,13 @@ class TestSolve:
                         fn()
 
 
+# every public reader of an allocation rejects the same allocations
+_BOTH_READERS = pytest.mark.parametrize("check", [
+    partial(log_domain_residuals, tds=[make_device()], cfg=CFG),
+    lambda alloc: delay_breakdown([make_device()], alloc, CFG)],
+    ids=["log_domain_residuals", "delay_breakdown"])
+
+
 class TestResiduals:
     def test_constructed_equalities_have_zero_slack(self):
         # build a point where the delay cap, energy, rate, capacity, local
@@ -837,10 +877,7 @@ class TestResiduals:
         assert abs(res.e_power_cap[0]) == 0.0
         assert abs(res.beta_floor[0]) <= 1e-15
 
-    @pytest.mark.parametrize("check", [
-        partial(log_domain_residuals, tds=[make_device()], cfg=CFG),
-        lambda alloc: delay_breakdown([make_device()], alloc, CFG)],
-        ids=["log_domain_residuals", "delay_breakdown"])
+    @_BOTH_READERS
     def test_bad_allocation_rejected(self, check):
         good = dict(f_local=[1e9], f_remote=[1e9], t_transmit=[0.1], e_transmit=[0.1],
                     beta=[0.8], t_epigraph=1.0)
@@ -866,18 +903,20 @@ class TestResiduals:
         assert (res.delay_cap[0], res.energy[0], res.rate[0]) == (1.0, td.energy_budget, 0.0)
         assert np.all(delay_breakdown([td], alloc, SystemConfig(sem_k=4.0)) == 0.0)
 
+    @_BOTH_READERS
     @pytest.mark.parametrize("name, value, message", [
         ("t_transmit", -0.1, "uplink time and energy must be nonnegative"),
         ("e_transmit", -0.1, "uplink time and energy must be nonnegative"),
         ("f_remote", 0.0, "f_remote must be positive for devices with work")])
-    def test_uplink_sign_and_server_share_rejected(self, name, value, message):
+    def test_uplink_sign_and_server_share_rejected(self, check, name, value, message):
         good = dict(f_local=[1e9], f_remote=[1e9], t_transmit=[0.1], e_transmit=[0.1],
                     beta=[0.8], t_epigraph=1.0)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            log_domain_residuals(Allocation(**{**good, name: [value]}), [make_device()], CFG)
+            check(Allocation(**{**good, name: [value]}))
 
-    def test_domain_error_on_nonpositive(self):
-        td = make_device()
+    @_BOTH_READERS
+    def test_domain_error_on_nonpositive(self, check):
+        # beta = -0.5 gives finite rows at k = 4 and p = 3, unless rejected
         alloc = Allocation([1e9], [1e9], [0.1], [0.1], [-0.5], 1.0)
-        with pytest.raises(ValueError):
-            log_domain_residuals(alloc, [td], CFG)
+        with pytest.raises(ValueError, match="^beta and f_local must be strictly positive$"):
+            check(alloc)
