@@ -5,15 +5,23 @@ for one- and two-device instances, and a random feasible-perturbation check
 that certifies first-order optimality of a given allocation. Both evaluate
 constraints from the raw closed forms, never through solver shortcuts.
 
-The perturbation check reads the device parameters from the device table and
-evaluates its probes in blocks of bounded size; it stops after the first
-block that holds a feasible improving probe, which gives the same answer as
-checking the probes one by one and stopping at the first improving one.
+The perturbation check reads the device parameters from the device table.
+Its verdict is an OR over the probes, so it may evaluate them in any order
+and stop at the first group that holds a feasible improving probe; it gives
+the answer of a probe-by-probe loop. It evaluates the probes that move every
+device first, then those that move one device (from that device's moved
+point and the base's per-device checks and delays, in O(1) per probe), then
+the isotropic draws. Dense probes go in blocks of bounded size, and each
+block computes its factor coordinates first and builds in full only the rows
+whose factors stay in their box. A direction set that fits in one block is
+cached read-only, so the cells of a sweep draw it once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -189,6 +197,7 @@ _BASE_TOL = 1e-9  # the allocation under test
 _PROBE_TOL = 1e-12  # each perturbed probe
 _BLOCK_ENTRIES = 2**14  # probe entries per block: 128 KB per float64 temporary
 _STRUCTURED_DEVICES = 32  # devices that get their own structured direction pair
+_SHARED_PROBES = 4  # the structured probes that move every device at once
 _UPLINK_AXES = (0, 3, 4)  # beta, t_transmit, e_transmit in a (5, n) probe
 _SERVER_AXIS = 2  # f_remote in a (5, n) probe
 
@@ -198,7 +207,11 @@ class _DeviceArrays:
 
     Probes are stacked as ``(rows, 5, n)`` in the order (beta, f_local,
     f_remote, t_transmit, e_transmit). Devices without task bits enter the
-    box, power and capacity checks only.
+    box, power and capacity checks only. The per-device checks and the delay
+    are elementwise: a dense probe broadcasts them over every device, and a
+    probe that moves one device gathers that device's parameters through
+    ``dev`` (an index into all devices) or ``slot`` (an index into the
+    devices with work).
     """
 
     def __init__(self, tds: Sequence[TerminalDevice], cfg: SystemConfig) -> None:
@@ -211,6 +224,8 @@ class _DeviceArrays:
         self.p_tx_max = table.p_tx_max
         self.work = np.flatnonzero(bits != 0)
         w = self.work
+        self.slot = np.full(self.n, -1)  # each device's place among those with work
+        self.slot[w] = np.arange(w.size)
         self.task_bits = bits[w]
         self.extract_cycles = a[w] * bits[w]
         self.extract_coeff = self.extract_cycles * table.energy_coeff[w]
@@ -223,6 +238,36 @@ class _DeviceArrays:
         self.bandwidth_hz = cfg.bandwidth_hz
         self.noise_power_w = cfg.noise_power_w
 
+    def factor_in_box(self, beta: np.ndarray, tol: float, dev=slice(None)) -> np.ndarray:
+        return (self.beta_min[dev] * (1 - tol) <= beta) & (beta <= 1 + tol)
+
+    def in_box(self, beta, f_local, t, e, tol: float, dev=slice(None)) -> np.ndarray:
+        """The box and power checks of each device."""
+        return (self.factor_in_box(beta, tol, dev)
+                & (f_local > 0) & (f_local <= self.f_local_max[dev] * (1 + tol))
+                & (e >= -tol) & (t >= -tol)
+                & (e <= self.p_tx_max[dev] * t * (1 + tol) + 1e-300))
+
+    def holds(self, beta, f_local, t, e, tol: float, slot=slice(None)) -> np.ndarray:
+        """The energy and rate checks of each device with work."""
+        e_extract = self.extract_coeff[slot] * f_local**2 / beta**self.k[slot]
+        ok = e_extract + e <= self.energy_budget[slot] * (1 + tol)
+        sends = t > 0
+        t = np.where(sends, t, 1.0)
+        snr = 1.0 + self.channel_gain[slot] * e / (t * self.noise_power_w)
+        cap = t * self.bandwidth_hz * np.log2(snr, out=np.full_like(snr, -np.inf),
+                                              where=snr > 0)
+        return ok & sends & (cap >= beta * self.task_bits[slot] * (1 - tol))
+
+    def delay(self, beta, f_local, f_remote, t, slot=slice(None)) -> np.ndarray:
+        """The delay of each device with work."""
+        return (self.extract_cycles[slot] / (beta**self.k[slot] * f_local) + t
+                + self.server_cycles[slot] * beta**self.q[slot] / f_remote)
+
+    def fits_server(self, f_remote: np.ndarray, tol: float) -> np.ndarray:
+        # summed in device order, so it rounds as a running sum over the devices
+        return np.add.accumulate(f_remote, axis=-1)[..., -1] <= self.f_mec_total * (1 + tol)
+
     def feasible(self, x: np.ndarray, tol: float) -> np.ndarray:
         """Which probe rows satisfy every constraint, to relative ``tol``.
 
@@ -230,34 +275,20 @@ class _DeviceArrays:
         rate checks only on the rows that pass them.
         """
         beta, f_local, f_remote, t, e = x.transpose(1, 0, 2)
-        ok = np.all((self.beta_min * (1 - tol) <= beta) & (beta <= 1 + tol)
-                    & (f_local > 0) & (f_local <= self.f_local_max * (1 + tol))
-                    & (e >= -tol) & (t >= -tol)
-                    & (e <= self.p_tx_max * t * (1 + tol) + 1e-300), axis=1)
+        ok = np.all(self.in_box(beta, f_local, t, e, tol), axis=1)
         if self.n:
-            # summed in device order, so it rounds as a running sum over the devices
-            ok &= np.add.accumulate(f_remote, axis=1)[:, -1] <= self.f_mec_total * (1 + tol)
+            ok &= self.fits_server(f_remote, tol)
         rows = np.flatnonzero(ok)
         if rows.size == 0 or self.work.size == 0:
             return ok
         beta, f_local, _, t, e = x[rows][:, :, self.work].transpose(1, 0, 2)
-        e_extract = self.extract_coeff * f_local**2 / beta**self.k
-        holds = e_extract + e <= self.energy_budget * (1 + tol)
-        sends = t > 0
-        t = np.where(sends, t, 1.0)
-        snr = 1.0 + self.channel_gain * e / (t * self.noise_power_w)
-        cap = t * self.bandwidth_hz * np.log2(snr, out=np.full_like(snr, -np.inf),
-                                              where=snr > 0)
-        holds &= sends & (cap >= beta * self.task_bits * (1 - tol))
-        ok[rows] = np.all(holds, axis=1)
+        ok[rows] = np.all(self.holds(beta, f_local, t, e, tol), axis=1)
         return ok
 
     def max_delay(self, x: np.ndarray) -> np.ndarray:
         """Worst per-device delay of each probe row, over devices with work."""
         beta, f_local, f_remote, t, _ = x[:, :, self.work].transpose(1, 0, 2)
-        delay = (self.extract_cycles / (beta**self.k * f_local) + t
-                 + self.server_cycles * beta**self.q / f_remote)
-        return delay.max(axis=1, initial=0.0)
+        return self.delay(beta, f_local, f_remote, t).max(axis=1, initial=0.0)
 
 
 def _directions(start: int, stop: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,6 +319,101 @@ def _directions(start: int, stop: int, n: int, rng: np.random.Generator) -> np.n
     return z
 
 
+@functools.lru_cache(maxsize=1)
+def _sweep_directions(n: int, n_probes: int, seed: int) -> np.ndarray:
+    """All ``n_probes`` unit directions at once, read-only.
+
+    Used only when they fit in one block, so the cached array stays within
+    ``_BLOCK_ENTRIES`` entries. The cells of a sweep share (n, n_probes,
+    seed), so they draw the set once.
+    """
+    units = _directions(0, n_probes, n, np.random.default_rng(seed))
+    units.flags.writeable = False
+    return units
+
+
+class _Probes:
+    """The allocation under test and the allowance its probes must beat."""
+
+    def __init__(self, devices: _DeviceArrays, base: np.ndarray, step: float) -> None:
+        self.devices = devices
+        self.base = base
+        self.step = step
+        self.worst = devices.max_delay(base[None])[0]
+        self.allowance = step * step * max(self.worst, 1e-300)
+
+    def dense_improves(self, units: np.ndarray) -> bool:
+        """Whether a feasible probe along one of ``units`` beats the allowance.
+
+        The factor coordinates come first: a row that moves some factor out
+        of its box fails ``feasible`` anyway, so only the other rows are
+        built in full.
+        """
+        devices, base, step = self.devices, self.base, self.step
+        beta = units[:, 0] * step
+        np.exp(beta, out=beta)
+        beta *= base[0]
+        rows = np.flatnonzero(np.all(devices.factor_in_box(beta, _PROBE_TOL), axis=1))
+        if rows.size == 0:
+            return False
+        probes = units[rows] * step
+        np.exp(probes, out=probes)
+        probes *= base
+        improved = self.worst - devices.max_delay(probes[devices.feasible(probes, _PROBE_TOL)])
+        return bool(np.any(improved > self.allowance))
+
+    def single_device_improves(self, stop: int) -> bool:
+        """Whether a feasible probe among 4 to ``stop - 1`` beats the allowance.
+
+        Probe j scales the (beta, t_transmit, e_transmit) of device (j - 4)
+        // 2 by exp(+-step / sqrt(3)), the value its unit direction holds,
+        and leaves every other coordinate at exp(0) * base, the base bit for
+        bit. So it is feasible iff that device passes its checks at the moved
+        point, every other device passes its checks at the base, and the
+        base fits the server; its max delay is the larger of the device's new
+        delay and the largest base delay among the other devices with work.
+        """
+        devices, base = self.devices, self.base
+        index = np.arange(_SHARED_PROBES, stop)
+        if index.size == 0 or devices.work.size == 0:
+            return False
+        beta0, f_local0, f_remote0, t0, e0 = base
+        w = devices.work
+        base_ok = devices.in_box(beta0, f_local0, t0, e0, _PROBE_TOL)
+        base_ok[w] &= devices.holds(beta0[w], f_local0[w], t0[w], e0[w], _PROBE_TOL)
+        # each probe moves one device, so at most one may fail at the base
+        failing = np.flatnonzero(~base_ok)
+        if failing.size > 1 or not devices.fits_server(f_remote0, _PROBE_TOL):
+            return False
+        dev = (index - _SHARED_PROBES) // 2
+        slot = devices.slot[dev]
+        # a probe on a device without work leaves the max delay where it was
+        moves = slot >= 0
+        if failing.size:
+            moves &= dev == failing[0]
+        index, dev, slot = index[moves], dev[moves], slot[moves]
+        shift = np.where(index % 2 == 0, 1.0, -1.0) / (np.sqrt(3.0) + 1e-300)
+        shift *= self.step
+        np.exp(shift, out=shift)
+        beta, t, e = shift * base[np.ix_(_UPLINK_AXES, dev)]
+        f_local, f_remote = f_local0[dev], f_remote0[dev]
+        ok = devices.in_box(beta, f_local, t, e, _PROBE_TOL, dev)
+        ok[ok] = devices.holds(beta[ok], f_local[ok], t[ok], e[ok], _PROBE_TOL, slot[ok])
+        if not ok.any():
+            return False
+        delay = devices.delay(beta[ok], f_local[ok], f_remote[ok], t[ok], slot[ok])
+        base_delay = devices.delay(beta0[w], f_local0[w], f_remote0[w], t0[w])
+        top = np.argmax(base_delay)
+        others = np.where(slot[ok] == top, np.delete(base_delay, top).max(initial=0.0),
+                          base_delay[top])
+        return bool(np.any(self.worst - np.maximum(delay, others) > self.allowance))
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer")
+
+
 def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
                          cfg: SystemConfig, n_probes: int, step: float,
                          seed: int = 0) -> bool:
@@ -300,18 +426,30 @@ def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
     the second-order allowance step^2 * objective. For a convex problem
     this certifies (approximate) optimality.
 
-    Probes are checked in blocks of at most 2**14 / (5n) rows (at least
-    one), so memory stays bounded whatever ``n_probes`` is, and the search
-    stops after the first block holding an improving probe. The result is
-    the one a probe-by-probe loop with early exit gives.
+    The verdict is an OR over the probes, so they are evaluated in three
+    groups, stopping at the first block that holds an improving probe: the
+    four probes that move every device; then the probes that move one
+    device each, from that device's moved point and the base's per-device
+    checks and delays, with no dense row; then the isotropic draws.
 
-    Raises ValueError for a ``step`` that is not finite and positive, and
-    for an allocation that does not match the devices in length, holds a
-    non-finite entry, leaves a device with work without server share, or
-    violates a constraint by more than a relative 1e-9.
+    The dense probes go in blocks of at most 2**14 / (5n) rows (at least
+    one), so memory stays bounded whatever ``n_probes`` is. Each block first
+    computes only the factor coordinates and drops the rows that leave the
+    factor box, which no feasible probe does; only the other rows are built
+    in full. When every direction fits in one block, the set depends only on
+    (n, n_probes, seed), and the last such set is cached read-only, so the
+    cells of a sweep draw it once.
+
+    Raises ValueError for a ``step`` that is not finite and positive, for an
+    ``n_probes`` or ``seed`` that is not a nonnegative integer, and for an
+    allocation that does not match the devices in length, holds a non-finite
+    entry, leaves a device with work without server share, or violates a
+    constraint by more than a relative 1e-9.
     """
     if not 0 < step < math.inf:
         raise ValueError("step must be finite and positive")
+    _check_count("n_probes", n_probes)
+    _check_count("seed", seed)
     n = len(tds)
     if alloc.n_devices != n:
         raise ValueError("allocation and devices must have the same length")
@@ -321,17 +459,21 @@ def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
     if not (np.all(np.isfinite(base)) and np.all(base[2, devices.work] > 0)
             and devices.feasible(base[None], _BASE_TOL)[0]):
         raise ValueError("allocation must be feasible before certification")
-    worst = devices.max_delay(base[None])[0]
-    allowance = step * step * max(worst, 1e-300)
+    probes = _Probes(devices, base, step)
 
-    rng = np.random.default_rng(seed)
+    shared = min(_SHARED_PROBES, n_probes)
+    structured = min(_SHARED_PROBES + 2 * min(n, _STRUCTURED_DEVICES), n_probes)
     rows = max(1, _BLOCK_ENTRIES // (5 * max(n, 1)))
-    for start in range(0, n_probes, rows):
-        probes = _directions(start, min(start + rows, n_probes), n, rng)
-        probes *= step
-        np.exp(probes, out=probes)
-        probes *= base
-        improved = worst - devices.max_delay(probes[devices.feasible(probes, _PROBE_TOL)])
-        if np.any(improved > allowance):
-            return False
-    return True
+    if 0 < n_probes <= rows:
+        units = _sweep_directions(n, n_probes, seed)
+        shared_blocks, drawn_blocks = [units[:shared]], [units[structured:]]
+    else:
+        # the structured rows draw nothing, so the draws keep their order
+        rng = np.random.default_rng(seed)
+        shared_blocks = (_directions(start, min(start + rows, shared), n, rng)
+                         for start in range(0, shared, rows))
+        drawn_blocks = (_directions(start, min(start + rows, n_probes), n, rng)
+                        for start in range(structured, n_probes, rows))
+    return not (any(probes.dense_improves(units) for units in shared_blocks)
+                or probes.single_device_improves(structured)
+                or any(probes.dense_improves(units) for units in drawn_blocks))

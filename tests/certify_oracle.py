@@ -1,16 +1,19 @@
 """Device-by-device reference for the perturbation certificate.
 
-The package checks probes in vectorised blocks. This module keeps the
-obvious form of the same certificate: every probe is built as one dense
-direction and checked in a Python loop over the devices, returning at the
-first infeasible device and at the first improving probe. It serves only as
-a test oracle.
+The package evaluates the probes that move every device first, then the
+probes that move one device each from per-device terms, then the isotropic
+draws, in vectorised blocks that screen the factor box before building a
+row in full, and it caches a direction set that fits in one block. This
+module keeps the obvious form of the same certificate: every probe is built
+as one dense direction, in index order, and checked in a Python loop over
+the devices, returning at the first infeasible device and at the first
+improving probe. It serves only as a test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,10 +94,10 @@ def probe_directions(n: int, n_probes: int, seed: int):
         yield (z / (np.linalg.norm(z) + 1e-300)).reshape(5, n)
 
 
-def perturbation_certify_loop(alloc: Allocation, tds: Sequence[TerminalDevice],
-                              cfg: SystemConfig, n_probes: int, step: float,
-                              seed: int = 0) -> bool:
-    """The certificate probe by probe and device by device."""
+def first_improving_probe(alloc: Allocation, tds: Sequence[TerminalDevice],
+                          cfg: SystemConfig, n_probes: int, step: float,
+                          seed: int = 0) -> Optional[int]:
+    """The index of the first feasible improving probe, or None if none improves."""
     if step <= 0:
         raise ValueError("step must be positive")
     n = len(tds)
@@ -105,11 +108,18 @@ def perturbation_certify_loop(alloc: Allocation, tds: Sequence[TerminalDevice],
     base = _max_delay(base_vectors, tds, cfg)
     allowance = step * step * max(base, 1e-300)
 
-    for z in probe_directions(n, n_probes, seed):
+    for index, z in enumerate(probe_directions(n, n_probes, seed)):
         shift = np.exp(step * z)
         probe = tuple(v * s for v, s in zip(base_vectors, shift))
         if not _feasible(probe, tds, cfg, tol=1e-12):
             continue
         if base - _max_delay(probe, tds, cfg) > allowance:
-            return False
-    return True
+            return index
+    return None
+
+
+def perturbation_certify_loop(alloc: Allocation, tds: Sequence[TerminalDevice],
+                              cfg: SystemConfig, n_probes: int, step: float,
+                              seed: int = 0) -> bool:
+    """The certificate probe by probe and device by device."""
+    return first_improving_probe(alloc, tds, cfg, n_probes, step, seed) is None

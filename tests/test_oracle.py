@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certify_oracle import perturbation_certify_loop, probe_directions
+from certify_oracle import first_improving_probe, perturbation_certify_loop, probe_directions
 from conftest import log_uniform, multi_device_draw, single_device_draw
 from semec import (
     FeasibilityCause,
@@ -22,7 +22,8 @@ from semec import (
     solve_no_semantic,
     transmit_bisection,
 )
-from semec.oracle import _directions
+from semec import oracle
+from semec.oracle import _directions, _sweep_directions
 
 
 def make_device(**overrides) -> TerminalDevice:
@@ -193,6 +194,23 @@ class TestPerturbationCertify:
         assert perturbation_certify(report.allocation, reference_single.devices,
                                     reference_single.system, n_probes=0, step=1e-3)
 
+    @pytest.mark.parametrize("argument", ["n_probes", "seed"])
+    @pytest.mark.parametrize("value", [-5, True, 2.5, math.nan, None])
+    def test_counts_must_be_nonnegative_integers(self, reference_single, argument, value):
+        # a negative or boolean count used to certify any allocation, and a
+        # fractional one failed inside range() with a TypeError
+        report = solve(reference_single.devices, reference_single.system)
+        counts = {"n_probes": 10, "seed": 0, argument: value}
+        with pytest.raises(ValueError, match=f"^{argument} must be a nonnegative integer$"):
+            perturbation_certify(report.allocation, reference_single.devices,
+                                 reference_single.system, step=1e-3, **counts)
+
+    def test_numpy_integer_counts_accepted(self, reference_single):
+        report = solve(reference_single.devices, reference_single.system)
+        assert perturbation_certify(report.allocation, reference_single.devices,
+                                    reference_single.system, n_probes=np.int64(20),
+                                    step=1e-3, seed=np.uint32(3))
+
     def test_infeasible_input_rejected(self, reference_single):
         from semec import Allocation
         cfg = reference_single.system
@@ -202,17 +220,64 @@ class TestPerturbationCertify:
 
     def test_large_n_few_probes_memory(self):
         # the probes are built and checked in bounded blocks, so two probes at
-        # n = 20000 stay far below one dense (5n) direction per device
+        # n = 20000 stay far below one dense (5n) direction per device; the
+        # 68 probes of the whole structured family build no dense row for
+        # the 64 that move one device each
         n = 20_000
         devices, cfg = multi_device_draw(np.random.default_rng(11), n)
         report = solve(devices, cfg)
-        tracemalloc.start()
-        try:
-            assert perturbation_certify(report.allocation, devices, cfg, n_probes=2, step=1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for n_probes in (2, 68):
+            tracemalloc.start()
+            try:
+                assert perturbation_certify(report.allocation, devices, cfg,
+                                            n_probes=n_probes, step=1e-3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
+
+    def test_one_device_probe_decides(self):
+        # device 4's (beta, t_transmit, e_transmit) scaled up by 1 % together:
+        # the first improving probe is the one that scales them back down,
+        # and the structured family alone already fails the allocation
+        devices, cfg = multi_device_draw(np.random.default_rng(0), 10)
+        alloc = solve(devices, cfg).allocation
+        scale = np.ones(10)
+        scale[4] = 1.01
+        moved = replace(alloc, beta=alloc.beta * scale, t_transmit=alloc.t_transmit * scale,
+                        e_transmit=alloc.e_transmit * scale)
+        assert first_improving_probe(moved, devices, cfg, 200, 1e-3) == 4 + 2 * 4 + 1
+        for n_probes in (24, 200):
+            assert not perturbation_certify(moved, devices, cfg, n_probes=n_probes, step=1e-3)
+
+    def test_one_direction_set_per_sweep(self, reference, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[:3])
+            return _directions(*args)
+
+        _sweep_directions.cache_clear()
+        monkeypatch.setattr(oracle, "_directions", counted)
+        report = solve(reference.devices, reference.system)
+        for _ in range(2):
+            assert perturbation_certify(report.allocation, reference.devices,
+                                        reference.system, n_probes=200, step=1e-3, seed=5)
+        assert calls == [(0, 200, 10)]
+        _sweep_directions.cache_clear()
+
+    def test_cached_directions_read_only(self, reference):
+        _sweep_directions.cache_clear()
+        report = solve(reference.devices, reference.system)
+        assert perturbation_certify(report.allocation, reference.devices, reference.system,
+                                    n_probes=200, step=1e-3, seed=5)
+        cached = _sweep_directions(10, 200, 5)
+        assert cached.flags.writeable is False
+        assert cached.nbytes <= 8 * 2**14
+        assert np.array_equal(cached, _directions(0, 200, 10, np.random.default_rng(5)))
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 1.0
+        _sweep_directions.cache_clear()
 
     @pytest.mark.parametrize("malform", ["length", "nan", "no_server_share"])
     def test_malformed_allocation_rejected(self, reference_single, malform):
@@ -229,10 +294,13 @@ class TestPerturbationCertify:
 
 
 _VARIANTS = {
-    "solved": lambda alloc: alloc,
-    "f_remote": lambda alloc: replace(alloc, f_remote=alloc.f_remote * 0.99),
-    "beta": lambda alloc: replace(alloc, beta=alloc.beta * 1.02),
-    "t_transmit": lambda alloc: replace(alloc, t_transmit=alloc.t_transmit * 1.02),
+    "solved": lambda alloc, scale: alloc,
+    "f_remote": lambda alloc, scale: replace(alloc, f_remote=alloc.f_remote * 0.99),
+    "beta": lambda alloc, scale: replace(alloc, beta=alloc.beta * 1.02),
+    "t_transmit": lambda alloc, scale: replace(alloc, t_transmit=alloc.t_transmit * 1.02),
+    "one_device": lambda alloc, scale: replace(alloc, beta=alloc.beta * scale,
+                                               t_transmit=alloc.t_transmit * scale,
+                                               e_transmit=alloc.e_transmit * scale),
 }
 
 
@@ -246,7 +314,11 @@ def certify_draws(draw):
     the power-limited budgets of ``multi_device_draw``. The allocation is
     the solver's output or a suboptimal
     (``f_remote`` x 0.99, ``t_transmit`` x 1.02) or infeasible
-    (``beta`` x 1.02) perturbation of it.
+    (``beta`` x 1.02) perturbation of it, or one device's (``beta``,
+    ``t_transmit``, ``e_transmit``) scaled together by 1 +- 0.01, which the
+    probes that move that device alone may decide. The probe counts end
+    inside the all-device probes, inside the one-device probes and among
+    the isotropic draws.
     """
     n = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -265,8 +337,12 @@ def certify_draws(draw):
         drawn.append(td)
     if all(td.task_bits == 0 for td in drawn):
         drawn[0] = devices[0]  # keep one device with work to optimise
-    alloc = _VARIANTS[draw(st.sampled_from(sorted(_VARIANTS)))](solve(drawn, cfg).allocation)
-    return alloc, drawn, cfg, draw(st.sampled_from([2, 40, 200])), draw(st.integers(0, 2**16))
+    scale = np.ones(n)
+    scale[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.99, 1.01]))
+    variant = _VARIANTS[draw(st.sampled_from(sorted(_VARIANTS)))]
+    alloc = variant(solve(drawn, cfg).allocation, scale)
+    n_probes = draw(st.sampled_from([2, 5, 40, 69, 200]))
+    return alloc, drawn, cfg, n_probes, draw(st.integers(0, 2**16))
 
 
 class TestCertifyMatchesLoop:
