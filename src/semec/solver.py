@@ -6,13 +6,14 @@ exact block solves converges monotonically. One outer iteration runs:
 
 1. extraction block: per device, the exact minimum over the factor in
    [beta_min, 1] of extraction delay + minimal uplink time + remote delay,
-   convex in the log of the factor, by a root search on its slope run only
-   where the root is interior. The minimal uplink is at peak power, or on a
-   binding energy budget the Lambert-W root of the perspective rate
-   equation, by monotone Newton; it returns its energy elasticity, which
-   gives the slope's uplink term, and an infinite time where no uplink serves
-   a factor, the delay's barrier. The block generalizes the paper's closed
-   form (:func:`optimal_beta`), which holds the uplink pair fixed;
+   convex in the log of the factor, by bracketed Newton steps on its slope
+   with a closed-form curvature, run only where the root is interior. The
+   minimal uplink is at peak power, or on a binding energy budget the
+   Lambert-W root of the perspective rate equation, by monotone Newton; it
+   returns its energy elasticity, which gives the slope's and curvature's
+   uplink terms, and an infinite time where no uplink serves a factor, the
+   delay's barrier. The block generalizes the paper's closed form
+   (:func:`optimal_beta`), which holds the uplink pair fixed;
 2. rate block: the energy-capped local rate in closed form, then monotone
    Newton on the delay cap that splits the server capacity so every active
    device finishes at the same time.
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_MAX_ITERS = 100  # cap on every Newton and false-position loop
+_MAX_ITERS = 100  # cap on every Newton loop
 _MAX_NUDGES = 64  # cap on the steps onto the feasible side of a float predicate
 _ULPS = 4.0 * np.finfo(float).eps  # relative stopping step, and the first nudge
 
@@ -321,53 +322,34 @@ def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) 
     return np.where(sc.p >= 1.0, eta2, np.clip(mu, eta1, eta2))
 
 
-def _illinois(f, xa: np.ndarray, fa: np.ndarray, xb: np.ndarray,
-              fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink each bracket with f(xa) < 0 <= f(xb) to a few ulps.
-
-    Illinois false position (the value kept at an end surviving twice is
-    halved), with each probe held ``tol`` inside the bracket so that it also
-    closes from the far end, and a midpoint probe wherever the last three
-    probes did not halve the bracket; ``f`` maps all lanes at once. An end
-    value may be infinite: the midpoint probes until both are finite.
-    """
-    side = np.zeros(xa.shape)
-    tol = _ULPS * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
-    w1 = w2 = w3 = np.full(xa.shape, np.inf)  # bracket widths 1-3 probes back
-    for _ in range(_MAX_ITERS):
-        w0 = np.abs(xb - xa)
-        open_lanes = w0 > 2.0 * tol
-        if not np.any(open_lanes):
-            break
-        with np.errstate(invalid="ignore"):
-            # an infinite end makes the secant NaN or an end, and either fails the test below
-            xc = xb - fb * (xb - xa) / np.where(fb != fa, fb - fa, 1.0)
-        secant = ((xc - xa) * (xc - xb) < 0) & (w0 <= 0.5 * w3)
-        xc = np.where(secant, xc, 0.5 * (xa + xb))
-        w3, w2, w1 = w2, w1, w0
-        xc = np.clip(xc, np.minimum(xa, xb) + tol, np.maximum(xa, xb) - tol)
-        xc = np.where(open_lanes, xc, xb)
-        fc = f(xc)
-        to_b = open_lanes & (fc >= 0)
-        to_a = open_lanes & (fc <= 0)  # an exact zero closes the bracket
-        fa = np.where(to_b & (side < 0), 0.5 * fa, np.where(to_a, fc, fa))
-        fb = np.where(to_a & (side > 0), 0.5 * fb, np.where(to_b, fc, fb))
-        xa = np.where(to_a, xc, xa)
-        xb = np.where(to_b, xc, xb)
-        side = np.where(to_b, -1.0, np.where(to_a, 1.0, side))
-    return xa, xb
-
-
-def _factor_slope(sc: _Scenario, b, f_local, f_remote, incumbent) -> np.ndarray:
-    """d/d ln b of the refine block's delay; +-inf (its barrier) where no uplink serves b."""
+def _factor_slope(sc: _Scenario, b, f_local, f_remote,
+                  incumbent) -> tuple[np.ndarray, np.ndarray]:
+    """d/d ln b and d2/d ln b2 of the refine block's delay; the slope is +-inf
+    (its barrier) where no uplink serves b, and the curvature is not finite."""
     e_extract = _extraction_energy(sc, b, f_local)
     e_budget = sc.E - e_extract
-    t_uplink, w = _uplink(sc, b * sc.A, e_budget)
-    # d ln t = (1+w) d ln bits - w d ln e (w = 0 at peak power); no-uplink lanes are set below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_uplink = t_uplink * (1.0 + w * (1.0 - sc.k * e_extract / e_budget))
-    d_uplink = np.where(np.isinf(t_uplink), np.where(b < incumbent, -np.inf, np.inf), d_uplink)
-    return -sc.k * _t_local(sc, b, f_local) + (1.0 - sc.p) * _t_remote(sc, b, f_remote) + d_uplink
+    bits = b * sc.A
+    t_uplink, w = _uplink(sc, bits, e_budget)
+    # d ln t = (1+w) d ln bits - w d ln e_budget = (1 + w*u) d ln b, where w = 0 at
+    # peak power and where no uplink serves b; on the energy-limited root, d ln c =
+    # u d ln b and d ln s/d ln c = -w give w' = -w^2*u*(c - s*w)
+    d_uplink = dd_uplink = t_uplink
+    lim = np.flatnonzero(w)
+    if lim.size:
+        t, w, k, e_x, e_b = t_uplink[lim], w[lim], sc.k[lim], e_extract[lim], e_budget[lim]
+        u = 1.0 - k * e_x / e_b
+        gain = 1.0 + w * u
+        c = bits[lim] * sc.sigma2 * _LN2 / (sc.h[lim] * e_b * sc.B)
+        s = bits[lim] * _LN2 / (sc.B * t)
+        dw = -w * w * u * (c - s * w)
+        du = k**2 * e_x * sc.E[lim] / e_b**2
+        d_uplink, dd_uplink = t_uplink.copy(), t_uplink.copy()
+        d_uplink[lim] = t * gain
+        dd_uplink[lim] = t * (gain * gain + dw * u + w * du)
+    t_local, t_remote = _t_local(sc, b, f_local), _t_remote(sc, b, f_remote)
+    slope = -sc.k * t_local + (1.0 - sc.p) * t_remote + d_uplink
+    slope = np.where(np.isinf(t_uplink), np.where(b < incumbent, -np.inf, np.inf), slope)
+    return slope, sc.k**2 * t_local + (1.0 - sc.p) ** 2 * t_remote + dd_uplink
 
 
 def _refine_block(sc: _Scenario, beta, f_local,
@@ -375,23 +357,40 @@ def _refine_block(sc: _Scenario, beta, f_local,
     """Per-device exact minimization over the extraction factor.
 
     Minimizes extraction delay + minimal uplink time + remote delay, which
-    is convex in the log of the factor (partial minimization of the jointly
-    convex subproblem), by a bracketed root search on its derivative over
-    [beta_min, 1], run only on the devices whose root is interior. Where no
-    uplink carries the bits the delay is +inf, and the incumbent factor is
-    feasible, so the feasible factors form an interval around it. The uplink
-    pair is refreshed at the chosen factor.
+    is convex in x = ln(factor) (partial minimization of the jointly convex
+    subproblem), by Newton's method on its slope, run only on the devices
+    whose root is interior to [beta_min, 1]. Where no uplink carries the bits
+    the delay is +inf, and the incumbent factor is feasible, so the feasible
+    factors form an interval around it. Newton starts from the incumbent; the
+    bracket [ln beta_min, 0] shrinks on the slope's sign, and a step leaving
+    it probes its midpoint. A lane stops once its step is a few ulps, its
+    bracket closes or its slope is 0, and takes its last probe of finite
+    slope, which is feasible. The uplink pair is refreshed at the result.
     """
-    lo = sc.beta_min
-    slope_lo, slope_hi = (_factor_slope(sc, b, f_local, f_remote, beta) for b in (lo, 1.0))
+    slope_lo = _factor_slope(sc, sc.beta_min, f_local, f_remote, beta)[0]
+    slope_hi = _factor_slope(sc, 1.0, f_local, f_remote, beta)[0]
     # at-end lanes take their end exactly; devices without work, of zero slope, take 1
-    beta_new = np.where(slope_hi <= 0, 1.0, lo)
+    beta_new = np.where(slope_hi <= 0, 1.0, sc.beta_min)
     idx = np.flatnonzero(~(slope_lo >= 0) & ~(slope_hi <= 0))
     if idx.size:
         sub, fl, fr, inc = sc.take(idx), f_local[idx], f_remote[idx], beta[idx]
-        xa, xb = _illinois(lambda x: _factor_slope(sub, np.exp(x), fl, fr, inc),
-                           np.log(sub.beta_min), slope_lo[idx], 0.0, slope_hi[idx])
-        beta_new[idx] = np.clip(np.exp(0.5 * (xa + xb)), sub.beta_min, 1.0)
+        xa, xb = np.log(sub.beta_min), np.zeros(idx.size)
+        x = best = np.log(inc)
+        moving = np.ones(idx.size, dtype=bool)
+        for _ in range(_MAX_ITERS):
+            slope, curvature = _factor_slope(sub, np.exp(x), fl, fr, inc)
+            # a stopped lane probes its own x again, which changes nothing
+            best = np.where(np.isfinite(slope), x, best)
+            xa, xb = np.where(slope < 0, x, xa), np.where(slope > 0, x, xb)
+            with np.errstate(divide="ignore", invalid="ignore"):  # NaN after a barrier probe
+                step = slope / curvature
+            tol = _ULPS * np.maximum(1.0, np.abs(x))
+            moving &= ~(np.abs(step) <= tol) & (xb - xa > tol) & (slope != 0)
+            if not np.any(moving):
+                break
+            x_new = np.where((xa < x - step) & (x - step < xb), x - step, 0.5 * (xa + xb))
+            x = np.where(moving, x_new, x)
+        beta_new[idx] = np.clip(np.exp(best), sub.beta_min, 1.0)
     return (beta_new, *_transmit_block(sc, beta_new, f_local))
 
 

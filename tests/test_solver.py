@@ -27,8 +27,8 @@ from semec import (
     transmit_bisection,
 )
 from semec.model import DeviceTable, semantic_constants
-from semec.solver import (_extraction_energy, _refine_block, _remote_cycles, _Scenario,
-                          _start, _t_local, _uplink)
+from semec.solver import (_extraction_energy, _factor_slope, _refine_block, _remote_cycles,
+                          _Scenario, _start, _t_local, _t_remote, _uplink)
 
 
 def make_device(**overrides) -> TerminalDevice:
@@ -429,6 +429,35 @@ class TestRefineBlock:
         assert np.isinf(scan[0]) and np.isinf(scan[-1])
         assert objective <= scan.min() * (1 + 1e-12)
 
+    def test_slope_and_curvature_match_central_differences(self):
+        # four energy-limited lanes, where extraction takes 6-31 % of the
+        # budget, and two at peak power, where w = 0
+        gains = np.array([1e-12, 3e-12, 1e-11, 8e-11, 8e-11, 1e-9])
+        budgets = np.array([0.02, 0.05, 0.02, 0.01, 0.5, 1.0])
+        cfg = SystemConfig(sem_a=1e-2, sem_p=0.5)
+        columns = {**asdict(make_device(energy_coeff=1e-25, beta_min=0.05)),
+                   "channel_gain": gains, "energy_budget": budgets}
+        sc = _Scenario(DeviceTable(**columns), cfg)
+        b, f_local, f_remote = np.full(6, 0.7), np.full(6, 5e8), np.full(6, 1e9)
+        slope, curvature = _factor_slope(sc, b, f_local, f_remote, b)
+        _, w = _uplink(sc, b * sc.A, sc.E - _extraction_energy(sc, b, f_local))
+        assert np.all(w[:4] > 0) and np.all(w[4:] == 0)
+
+        def delay(x):
+            beta = b * np.exp(x)
+            t, _ = _uplink(sc, beta * sc.A, sc.E - _extraction_energy(sc, beta, f_local))
+            return _t_local(sc, beta, f_local) + t + _t_remote(sc, beta, f_remote)
+
+        # fourth-order central differences in ln(factor)
+        h = 1e-3
+
+        def derivative(fn):
+            return (-fn(2 * h) + 8 * fn(h) - 8 * fn(-h) + fn(-2 * h)) / (12 * h)
+
+        np.testing.assert_allclose(slope, derivative(delay), rtol=1e-8)
+        np.testing.assert_allclose(curvature, derivative(
+            lambda x: _factor_slope(sc, b * np.exp(x), f_local, f_remote, b)[0]), rtol=1e-8)
+
 
 @st.composite
 def wide_box_draws(draw, max_n: int = 4):
@@ -491,11 +520,12 @@ class TestLaneIndependence:
 
 # the second step of this solve rises by one ulp at the optimum
 _RISING_WITNESS = (
-    [TerminalDevice(task_bits=24962086.18248292, intensity=75.35434082614373,
-                    energy_coeff=1.955153050525635e-27, f_local_max=342551332.02212095,
-                    p_tx_max=0.22255800604291096, beta_min=0.18309273660868705,
-                    energy_budget=0.22993005759613583, channel_gain=2.6544072199072237e-11)],
-    SystemConfig(sem_a=7.506993747986214e-05, sem_k=2.0770513471955354, sem_p=3.0))
+    [TerminalDevice(task_bits=2305349.228095592, intensity=392.7907790612355,
+                    energy_coeff=9.04707399145109e-27, f_local_max=589992345.9707851,
+                    p_tx_max=1.8602892359585852, beta_min=0.5671783043564745,
+                    energy_budget=0.2943029366300199, channel_gain=2.3381723944363274e-11)],
+    SystemConfig(f_mec_total=12452960744.491653, sem_a=1.7474070113763991e-06,
+                 sem_k=2.881414547427416, sem_p=3.0))
 
 # an energy-limited draw whose third objective equals its second
 _EQUAL_STEP_DRAW = (
@@ -504,6 +534,60 @@ _EQUAL_STEP_DRAW = (
                     p_tx_max=1.9533862994450961, beta_min=0.14247386983679078,
                     energy_budget=0.03696656254330965, channel_gain=5.514526013499737e-09)],
     SystemConfig(sem_a=2.1898518269177743e-05, sem_k=3.921635694671529, sem_p=1.5))
+
+
+# the best factor of this device lies on the edge of its feasible interval,
+# where no uplink serves the factor just below it
+_EDGE_FACTOR_WITNESS = (
+    [TerminalDevice(task_bits=3544950895.1130342, intensity=57.75412653969084,
+                    energy_coeff=1.71549770309067e-24, f_local_max=69307.48683613141,
+                    p_tx_max=6.037748644645531, beta_min=2.8702948503229872e-06,
+                    energy_budget=0.00016726138362381667, channel_gain=3.5045591764655527e-13,
+                    sem_k=3.7157350294157974, sem_p=0.5)],
+    SystemConfig(f_mec_total=3480281971455.1675, sem_a=0.023898141549949178))
+
+# the mirror case on device 0: no uplink serves the factor just above its best
+_EDGE_FACTOR_FROM_ABOVE = (
+    [TerminalDevice(task_bits=181.7709215567738, intensity=15.7605475093375,
+                    energy_coeff=1.4075454755807403e-24, f_local_max=186952533.027806,
+                    p_tx_max=1.4037337957982367e-05, beta_min=4.4468149625186605e-06,
+                    energy_budget=239.49010335317973, channel_gain=4.454791775177606e-10,
+                    sem_k=4.021976115758833, sem_p=0.5),
+     TerminalDevice(task_bits=12969.087845223628, intensity=4370930.1374834385,
+                    energy_coeff=3.324063316622243e-29, f_local_max=4144895.2348116343,
+                    p_tx_max=0.05237786869926116, beta_min=1.7733125174865754e-05,
+                    energy_budget=0.003331530542506886, channel_gain=8.155717845088215e-07,
+                    sem_k=2.180879525108985, sem_p=3.0),
+     TerminalDevice(task_bits=52315063.34498014, intensity=44.17562640008569,
+                    energy_coeff=9.791062792397462e-22, f_local_max=45458.723026997846,
+                    p_tx_max=5.715974209879862e-05, beta_min=0.1361365403431146,
+                    energy_budget=0.010099347235207569, channel_gain=1.9621738488911507e-10,
+                    sem_k=1.6259695443989775, sem_p=1.5),
+     TerminalDevice(task_bits=143724025.07392102, intensity=0.1596185522165602,
+                    energy_coeff=6.181152201072208e-30, f_local_max=164446.00352297915,
+                    p_tx_max=245.27223495161124, beta_min=8.121274809267996e-05,
+                    energy_budget=0.08333708573643517, channel_gain=1.4751028824848191e-13,
+                    sem_k=4.936081587193444, sem_p=1.5)],
+    SystemConfig(f_mec_total=16350203.581902577, sem_a=3.777389576863439e-10))
+
+
+@st.composite
+def scaled_box_draws(draw, decades: float = 4.0):
+    """One to four devices whose ranges reach ``decades`` decades beyond the
+    wide box's on both sides, with factor floors down to 1e-6, gains from
+    1e-14 to 1e-6 and per-device semantic exponents."""
+    f = 10.0**decades
+    tds = [TerminalDevice(
+        task_bits=draw(log_uniform(3e5 / f, 3e7 * f)),
+        intensity=draw(log_uniform(20.0 / f, 700.0 * f)),
+        energy_coeff=draw(log_uniform(1e-27 / f, 1e-25 * f)),
+        f_local_max=draw(log_uniform(3e8 / f, 2e9 * f)),
+        p_tx_max=draw(log_uniform(0.1 / f, 2.0 * f)),
+        beta_min=draw(log_uniform(1e-6, 1.0)), energy_budget=draw(log_uniform(0.002 / f, f)),
+        channel_gain=draw(log_uniform(1e-14, 1e-6)), sem_k=draw(st.floats(1.0, 5.0)),
+        sem_p=draw(st.sampled_from([0.5, 0.8, 1.5, 3.0]))) for _ in range(draw(st.integers(1, 4)))]
+    return tds, SystemConfig(f_mec_total=draw(log_uniform(1e9 / f, 3e10 * f)),
+                             sem_a=draw(log_uniform(1e-6 / f, 1e-2 * f)))
 
 
 # at 800 m: raw upload cannot carry the task on this budget, extraction can
@@ -643,6 +727,37 @@ class TestSolve:
         assert np.all(np.diff(report.objective_trace) <= 0)
         assert_relatively_feasible(alloc, tds, cfg)
 
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_box_draws())
+    @example(_EDGE_FACTOR_FROM_ABOVE)
+    def test_scaled_box_answers_or_names_an_infeasible_device(self, draw):
+        # as in the wide box, a device can be served iff the wideband-limit
+        # energy at its floor factor is below its budget
+        tds, cfg = draw
+        need = np.array([td.beta_min * td.task_bits * cfg.noise_power_w * math.log(2.0)
+                         / (td.channel_gain * cfg.bandwidth_hz * td.energy_budget)
+                         for td in tds])
+        assume(np.all(np.abs(need - 1.0) > 1e-9))
+        try:
+            report = solve(tds, cfg)
+        except FeasibilityError as exc:
+            assert need[exc.device_index] >= 1.0
+            return
+        alloc = report.allocation
+        assert all(np.all(np.isfinite(v)) for v in (alloc.f_local, alloc.f_remote,
+                                                     alloc.t_transmit, alloc.e_transmit,
+                                                     alloc.beta))
+        assert np.all(np.diff(report.objective_trace) <= 0)
+        assert_relatively_feasible(alloc, tds, cfg)
+
+    def test_factor_on_the_edge_of_its_feasible_interval(self):
+        # the factor search must end on the feasible side of the edge, not
+        # across it, where the uplink has no time to offer
+        report = solve(*_EDGE_FACTOR_WITNESS)
+        assert report.converged
+        assert np.all(np.diff(report.objective_trace) <= 0)
+        assert_relatively_feasible(report.allocation, *_EDGE_FACTOR_WITNESS)
+
     def test_extraction_serves_a_device_raw_upload_cannot(self):
         # at 800 m even the wideband limit of the raw upload needs 1.155 times
         # the budget, so only a factor below 1 can be served
@@ -689,7 +804,7 @@ class TestSolve:
         # the third objective would be one ulp above the second: the loop
         # stops with the second, which converged
         report = solve(*_RISING_WITNESS)
-        assert report.objective_trace == [2.8774459708373223, 1.7819543239890636]
+        assert report.objective_trace == [0.24628656870976467, 0.24399555810024542]
         assert report.iterations == 2
         assert report.allocation.t_epigraph == report.objective_trace[-1]
         assert report.converged
