@@ -142,10 +142,10 @@ class _Scenario:
         self.sigma2 = cfg.noise_power_w
         self.F = cfg.f_mec_total
         self.active = self.A > 0
-        # the peak-power rate rounds to 0 where h*p_max/sigma^2 is below half an
-        # ulp of 1; devices without work send nothing, and get 1 to divide by
+        # log1p keeps the peak-power rate's digits at low SNR; it is 0 only where
+        # h*p_max/sigma^2 underflows; devices without work get 1 to divide by
         self.r_full = np.where(self.active,
-                               self.B * np.log2(1.0 + self.h * self.p_max / self.sigma2), 1.0)
+                               self.B / _LN2 * np.log1p(self.h * self.p_max / self.sigma2), 1.0)
 
     def take(self, idx: np.ndarray) -> _Scenario:
         """The scenario of the devices ``idx``, sharing the system scalars."""

@@ -750,6 +750,19 @@ class TestSolve:
         assert np.all(np.diff(report.objective_trace) <= 0)
         assert_relatively_feasible(alloc, tds, cfg)
 
+    def test_peak_power_rate_at_low_snr(self):
+        # h*p_max/sigma^2 = 3.7e-8: B*log2(1 + snr) loses 2.2e-9 of the rate
+        # to the rounding of 1 + snr, which left the rate 2.8 bits short
+        td = TerminalDevice(task_bits=2723729279.4267488, intensity=1277983319.6976457,
+                            energy_coeff=2.363558975177662e-22, f_local_max=20525774028185.312,
+                            p_tx_max=1.0483887185801093e-09, beta_min=4.057103138910325e-06,
+                            energy_budget=59.311937789830196, channel_gain=1.4151501346023682e-13,
+                            sem_k=4.726208983398509, sem_p=0.8)
+        cfg = SystemConfig(f_mec_total=253.0523789446917, sem_a=1.086357338034581)
+        report = solve([td], cfg)
+        assert report.converged
+        assert_relatively_feasible(report.allocation, [td], cfg)
+
     def test_factor_on_the_edge_of_its_feasible_interval(self):
         # the factor search must end on the feasible side of the edge, not
         # across it, where the uplink has no time to offer
@@ -839,15 +852,16 @@ class TestSolve:
 
     @_OFFLOADING_SOLVES
     def test_device_without_work_at_zero_peak_rate(self, call):
-        # h*p_max/sigma^2 = 1e-40/4e-15 rounds 1 + it to 1, so the peak-power
-        # rate is 0; a device without work sends nothing and changes nothing
-        report = call([make_device(), make_device(task_bits=0.0, channel_gain=1e-40)], CFG)
+        # h*p_max = 1e-300*1e-30 underflows to 0, so the peak-power rate is 0;
+        # a device without work sends nothing and changes nothing
+        silent = make_device(task_bits=0.0, channel_gain=1e-300, p_tx_max=1e-30)
+        report = call([make_device(), silent], CFG)
         assert report.objective_trace == call([make_device()], CFG).objective_trace
 
     @_OFFLOADING_SOLVES
     def test_device_with_work_at_zero_peak_rate(self, call):
         with pytest.raises(FeasibilityError) as exc:
-            call([make_device(), make_device(channel_gain=1e-40)], CFG)
+            call([make_device(), make_device(channel_gain=1e-300, p_tx_max=1e-30)], CFG)
         assert (exc.value.device_index, exc.value.cause) == (
             1, FeasibilityCause.RATE_CAP_TOO_LOW)
 
