@@ -536,9 +536,9 @@ _EQUAL_STEP_DRAW = (
     SystemConfig(sem_a=2.1898518269177743e-05, sem_k=3.921635694671529, sem_p=1.5))
 
 
-# the best factor of this device lies on the edge of its feasible interval,
-# where no uplink serves the factor just below it
-_EDGE_FACTOR_WITNESS = (
+# this device's best factor is the top of its feasible factors: no uplink
+# carries the bits of a factor just above it
+_UPPER_EDGE_FACTOR = (
     [TerminalDevice(task_bits=3544950895.1130342, intensity=57.75412653969084,
                     energy_coeff=1.71549770309067e-24, f_local_max=69307.48683613141,
                     p_tx_max=6.037748644645531, beta_min=2.8702948503229872e-06,
@@ -546,8 +546,9 @@ _EDGE_FACTOR_WITNESS = (
                     sem_k=3.7157350294157974, sem_p=0.5)],
     SystemConfig(f_mec_total=3480281971455.1675, sem_a=0.023898141549949178))
 
-# the mirror case on device 0: no uplink serves the factor just above its best
-_EDGE_FACTOR_FROM_ABOVE = (
+# the mirror case on device 0: its best factor is the bottom of its feasible
+# factors, below which extraction leaves the uplink no energy
+_LOWER_EDGE_FACTOR = (
     [TerminalDevice(task_bits=181.7709215567738, intensity=15.7605475093375,
                     energy_coeff=1.4075454755807403e-24, f_local_max=186952533.027806,
                     p_tx_max=1.4037337957982367e-05, beta_min=4.4468149625186605e-06,
@@ -729,7 +730,7 @@ class TestSolve:
 
     @settings(max_examples=200, deadline=None)
     @given(scaled_box_draws())
-    @example(_EDGE_FACTOR_FROM_ABOVE)
+    @example(_LOWER_EDGE_FACTOR)
     def test_scaled_box_answers_or_names_an_infeasible_device(self, draw):
         # as in the wide box, a device can be served iff the wideband-limit
         # energy at its floor factor is below its budget
@@ -766,10 +767,10 @@ class TestSolve:
     def test_factor_on_the_edge_of_its_feasible_interval(self):
         # the factor search must end on the feasible side of the edge, not
         # across it, where the uplink has no time to offer
-        report = solve(*_EDGE_FACTOR_WITNESS)
+        report = solve(*_UPPER_EDGE_FACTOR)
         assert report.converged
         assert np.all(np.diff(report.objective_trace) <= 0)
-        assert_relatively_feasible(report.allocation, *_EDGE_FACTOR_WITNESS)
+        assert_relatively_feasible(report.allocation, *_UPPER_EDGE_FACTOR)
 
     def test_extraction_serves_a_device_raw_upload_cannot(self):
         # at 800 m even the wideband limit of the raw upload needs 1.155 times
