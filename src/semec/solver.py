@@ -14,9 +14,10 @@ exact block solves converges monotonically. One outer iteration runs:
    uplink terms, and an infinite time where no uplink serves a factor, the
    delay's barrier. The block generalizes the paper's closed form
    (:func:`optimal_beta`), which holds the uplink pair fixed;
-2. rate block: the energy-capped local rate in closed form, then monotone
-   Newton on the delay cap that splits the server capacity so every active
-   device finishes at the same time.
+2. rate block: the minimal uplink at the new factor; the energy-capped local
+   rate in closed form, nudged down until it leaves the uplink its energy in
+   float; then monotone Newton on the delay cap that splits the server
+   capacity so every active device finishes at the same time.
 
 The raw-upload baseline is the loop's start point without extraction, and
 the retained-extraction baseline is the loop with every factor floor at 1.
@@ -189,11 +190,31 @@ def _delays(sc: _Scenario, beta, f_local, t_transmit, f_remote) -> np.ndarray:
 # --- block solves -----------------------------------------------------------
 
 
-def _local_rate_block(sc: _Scenario, beta: np.ndarray, e_transmit: np.ndarray) -> np.ndarray:
+def _nudge(x: np.ndarray, short, up: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """x scaled lane by lane up (or down) by 1 + 4 ulps, then 1 + 8 ulps, ...
+    while ``short(x)`` flags it, and the lanes still flagged at the last check."""
+    step = _ULPS
+    for _ in range(_MAX_NUDGES):
+        flagged = short(x)
+        if not flagged.any():
+            break
+        x = np.where(flagged, x * (1.0 + step) if up else x / (1.0 + step), x)
+        step *= 2.0
+    return x, flagged
+
+
+def _local_rate_block(sc: _Scenario, beta, e_transmit, incumbent=0.0) -> np.ndarray:
+    """Largest local rate whose extraction leaves e_transmit in float: the
+    energy-capped closed form, nudged down until E - extraction energy >=
+    e_transmit, as the refine block reads it. A lane with nothing left for
+    extraction (rate 0, or no nudge suffices) keeps the incumbent (default 0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         unclamped = np.sqrt(beta**sc.k * np.maximum(sc.E - e_transmit, 0.0)
                             / (sc.a * sc.A * sc.kappa))
-    return np.fmin(sc.f_max, unclamped)  # 0/0, where nothing is extracted, leaves the cap
+    f = np.fmin(sc.f_max, unclamped)  # 0/0, where nothing is extracted, leaves the cap
+    f, short = _nudge(f, lambda f: sc.E - _extraction_energy(sc, beta, f) < e_transmit,
+                      up=False)
+    return np.where(short | (f == 0), incumbent, f)
 
 
 def _uplink(sc: _Scenario, bits: np.ndarray,
@@ -233,16 +254,8 @@ def _uplink(sc: _Scenario, bits: np.ndarray,
         if not np.any(moving):
             break
         s = np.where(moving, s - step, s)
-    t_e = b * _LN2 / (sc.B * s)
-    nudge = _ULPS
-    for _ in range(_MAX_NUDGES):
-        short = _bits_carried(sc, h, e, t_e) < b
-        if not np.any(short):
-            break
-        t_e = np.where(short, t_e * (1.0 + nudge), t_e)
-        nudge *= 2.0
-    else:
-        t_e = np.where(short, np.inf, t_e)
+    t_e, short = _nudge(b * _LN2 / (sc.B * s), lambda t_e: _bits_carried(sc, h, e, t_e) < b)
+    t_e[short] = np.inf
     t[idx] = t_e
     w = np.zeros(sc.n)
     # at the root c + s - 1 = (s/2)*coth(s/2) - 1 + s/2 > s/2; where rounding
@@ -289,15 +302,11 @@ def _remote_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
         if not step > delta * _ULPS:
             break
         delta += step
-    # finish on the side where the shares fit in the capacity
-    nudge = _ULPS
-    for _ in range(_MAX_NUDGES):
-        f_remote[act] = w / (delta + gap)
-        if f_remote.sum() <= sc.F:
-            break
-        delta *= 1.0 + nudge
-        nudge *= 2.0
-    return top + delta, f_remote
+    def overflows(d):  # finish on the side where the shares fit in the capacity
+        f_remote[act] = w / (d + gap)
+        return f_remote.sum() > sc.F
+
+    return top + float(_nudge(np.array(delta), overflows)[0]), f_remote
 
 
 def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) -> np.ndarray:
@@ -352,8 +361,7 @@ def _factor_slope(sc: _Scenario, b, f_local, f_remote,
     return slope, sc.k**2 * t_local + (1.0 - sc.p) ** 2 * t_remote + dd_uplink
 
 
-def _refine_block(sc: _Scenario, beta, f_local,
-                  f_remote) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refine_block(sc: _Scenario, beta, f_local, f_remote) -> np.ndarray:
     """Per-device exact minimization over the extraction factor.
 
     Minimizes extraction delay + minimal uplink time + remote delay, which
@@ -365,7 +373,7 @@ def _refine_block(sc: _Scenario, beta, f_local,
     bracket [ln beta_min, 0] shrinks on the slope's sign, and a step leaving
     it probes its midpoint. A lane stops once its step is a few ulps, its
     bracket closes or its slope is 0, and takes its last probe of finite
-    slope, which is feasible. The uplink pair is refreshed at the result.
+    slope, which is feasible.
     """
     slope_lo = _factor_slope(sc, sc.beta_min, f_local, f_remote, beta)[0]
     slope_hi = _factor_slope(sc, 1.0, f_local, f_remote, beta)[0]
@@ -391,7 +399,7 @@ def _refine_block(sc: _Scenario, beta, f_local,
             x_new = np.where((xa < x - step) & (x - step < xb), x - step, 0.5 * (xa + xb))
             x = np.where(moving, x_new, x)
         beta_new[idx] = np.clip(np.exp(best), sub.beta_min, 1.0)
-    return (beta_new, *_transmit_block(sc, beta_new, f_local))
+    return beta_new
 
 
 # --- public operations ------------------------------------------------------
@@ -449,8 +457,8 @@ def optimal_local_rate(td: TerminalDevice, beta: float, e_transmit: float,
     """Largest admissible local CPU rate given the leftover energy budget.
 
     Either the hardware cap or the energy budget binds; the energy-bound
-    branch is the rate that spends exactly the remaining budget on
-    extraction.
+    branch is the largest rate whose extraction leaves ``e_transmit`` of the
+    budget in float, within a few ulps of the rate that spends all the rest.
     """
     _check_input("beta", beta)
     _check_input("e_transmit", e_transmit)
@@ -537,11 +545,12 @@ def _report(sc: _Scenario, alloc: Allocation, trace: List[float], iterations: in
 def _start(sc: _Scenario) -> Allocation:
     # no uplink carries beta*A bits on less than beta*m joules (E_b/N_0 >= ln 2), so
     # beta_min*m < E iff feasible: the factor leaves the least uplink half the budget
-    # (1 without work, where m = 0), and extraction spends half of what it leaves
+    # (1 without work, where m = 0), and extraction spends half of what it leaves.
+    # Capped at E, the uplink's share leaves an unservable device rate 0 without nudges
     with np.errstate(divide="ignore", over="ignore"):
         m = sc.A * sc.sigma2 * _LN2 / (sc.h * sc.B)
         beta = np.clip(sc.E / (2.0 * m), sc.beta_min, 1.0)
-    f_local = _local_rate_block(sc, beta, 0.5 * (sc.E + beta * m))
+    f_local = _local_rate_block(sc, beta, np.minimum(0.5 * (sc.E + beta * m), sc.E))
     return _split_server(sc, beta, f_local, *_transmit_block(sc, beta, f_local))
 
 
@@ -571,15 +580,10 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
     trace = [alloc.t_epigraph]
     converged = False
     for iterations in range(1, cfg.max_outer_iters + 1):
-        # the incumbent factor stays feasible: the local-rate block spends
-        # only the energy that the uplink leaves over
-        beta, t_transmit, e_transmit = _refine_block(sc, alloc.beta, alloc.f_local,
-                                                     alloc.f_remote)
-        # an energy-limited uplink whose extraction energy is below half an ulp
-        # of the budget leaves E - e_transmit = 0 in float; the incumbent rate
-        # extracts with exactly that leftover
-        spent = e_transmit >= sc.E
-        f_local = np.where(spent, alloc.f_local, _local_rate_block(sc, beta, e_transmit))
+        # the incumbent factor stays feasible: the rate block leaves the uplink its energy
+        beta = _refine_block(sc, alloc.beta, alloc.f_local, alloc.f_remote)
+        t_transmit, e_transmit = _transmit_block(sc, beta, alloc.f_local)
+        f_local = _local_rate_block(sc, beta, e_transmit, alloc.f_local)
         candidate = _split_server(sc, beta, f_local, t_transmit, e_transmit)
         if candidate.t_epigraph > trace[-1]:
             # a rise is rounding at the optimum: the incumbent is the answer

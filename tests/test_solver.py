@@ -28,7 +28,7 @@ from semec import (
 )
 from semec.model import DeviceTable, semantic_constants
 from semec.solver import (_extraction_energy, _factor_slope, _refine_block, _remote_cycles,
-                          _Scenario, _start, _t_local, _t_remote, _uplink)
+                          _Scenario, _start, _t_local, _t_remote, _transmit_block, _uplink)
 
 
 def make_device(**overrides) -> TerminalDevice:
@@ -82,6 +82,18 @@ class TestOptimalLocalRate:
     def test_zero_task(self):
         td = make_device(task_bits=0.0)
         assert optimal_local_rate(td, 1.0, 0.0, CFG) == td.f_local_max
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_uniform(1e-3, 1e3), log_uniform(1e-30, 1e-15), log_uniform(0.05, 1.0))
+    def test_rate_leaves_the_uplink_its_energy(self, budget, share, beta):
+        # an uplink share of a few ulps or less leaves E - e_transmit within an
+        # ulp of E, and the extraction energy of the rate that spends it all
+        # rounds to either side of it
+        td = make_device(energy_budget=budget, f_local_max=1e30)
+        e_transmit = share * budget
+        rate = optimal_local_rate(td, beta, e_transmit, CFG)
+        e_extract = _extraction_energy(_Scenario([td], CFG), np.array([beta]), np.array([rate]))
+        assert rate > 0 and budget - e_extract[0] >= e_transmit
 
 
 class TestTransmitBisection:
@@ -413,7 +425,8 @@ class TestRefineBlock:
         cfg = SystemConfig(sem_a=1e-4)
         f_local, f_remote = np.array([1e9]), np.array([13e9])
         sc = _Scenario([td], cfg)
-        beta, t, _ = _refine_block(sc, np.array([0.3]), f_local, f_remote)
+        beta = _refine_block(sc, np.array([0.3]), f_local, f_remote)
+        t, _ = _transmit_block(sc, beta, f_local)
         objective = float((_t_local(sc, beta, f_local) + t
                            + _remote_cycles(sc, beta) / f_remote)[0])
         assert beta[0] == pytest.approx(0.250593, rel=1e-6)
@@ -492,11 +505,14 @@ class TestLaneIndependence:
             start = _start(sc)
         except FeasibilityError:
             assume(False)
-        together = _refine_block(sc, start.beta, start.f_local, start.f_remote)
+        beta = _refine_block(sc, start.beta, start.f_local, start.f_remote)
+        together = (beta, *_transmit_block(sc, beta, start.f_local))
         for i, td in enumerate(tds):
             own = slice(i, i + 1)
-            alone = _refine_block(_Scenario([td], cfg), start.beta[own], start.f_local[own],
-                                  start.f_remote[own])
+            sc_own = _Scenario([td], cfg)
+            beta_own = _refine_block(sc_own, start.beta[own], start.f_local[own],
+                                     start.f_remote[own])
+            alone = (beta_own, *_transmit_block(sc_own, beta_own, start.f_local[own]))
             for joint, single in zip(together, alone):
                 assert joint[own].tobytes() == single.tobytes()
 
@@ -572,12 +588,23 @@ _LOWER_EDGE_FACTOR = (
     SystemConfig(f_mec_total=16350203.581902577, sem_a=3.777389576863439e-10))
 
 
+# this device's uplink needs less than half an ulp of its budget, so the
+# closed-form local rate spends the whole budget on extraction in float
+_ULP_SIZED_UPLINK = (
+    [TerminalDevice(task_bits=2.371465601506303, intensity=401160460.5456707,
+                    energy_coeff=7.328241275816357e-18, f_local_max=52078911568852.836,
+                    p_tx_max=7.596807519072778e-08, beta_min=0.00015253072469152758,
+                    energy_budget=3260134.536621114, channel_gain=2.6176978012030726e-07,
+                    sem_k=3.7786631313474266, sem_p=0.8)],
+    SystemConfig(f_mec_total=402634.4635757185, sem_a=0.005601475882380389))
+
+
 @st.composite
-def scaled_box_draws(draw, decades: float = 4.0):
-    """One to four devices whose ranges reach ``decades`` decades beyond the
+def scaled_box_draws(draw):
+    """One to four devices whose ranges reach 4, 12 or 16 decades beyond the
     wide box's on both sides, with factor floors down to 1e-6, gains from
     1e-14 to 1e-6 and per-device semantic exponents."""
-    f = 10.0**decades
+    f = 10.0 ** draw(st.sampled_from([4.0, 12.0, 16.0]))
     tds = [TerminalDevice(
         task_bits=draw(log_uniform(3e5 / f, 3e7 * f)),
         intensity=draw(log_uniform(20.0 / f, 700.0 * f)),
@@ -728,9 +755,10 @@ class TestSolve:
         assert np.all(np.diff(report.objective_trace) <= 0)
         assert_relatively_feasible(alloc, tds, cfg)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(scaled_box_draws())
     @example(_LOWER_EDGE_FACTOR)
+    @example(_ULP_SIZED_UPLINK)
     def test_scaled_box_answers_or_names_an_infeasible_device(self, draw):
         # as in the wide box, a device can be served iff the wideband-limit
         # energy at its floor factor is below its budget
