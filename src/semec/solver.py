@@ -7,17 +7,23 @@ exact block solves converges monotonically. One outer iteration runs:
 1. extraction block: per device, the exact minimum over the factor in
    [beta_min, 1] of extraction delay + minimal uplink time + remote delay,
    convex in the log of the factor, by bracketed Newton steps on its slope
-   with a closed-form curvature, run only where the root is interior. The
-   minimal uplink is at peak power, or on a binding energy budget the
-   Lambert-W root of the perspective rate equation, by monotone Newton; it
-   returns its energy elasticity, which gives the slope's and curvature's
-   uplink terms, and an infinite time where no uplink serves a factor, the
-   delay's barrier. The block generalizes the paper's closed form
-   (:func:`optimal_beta`), which holds the uplink pair fixed;
+   with a closed-form curvature, run only where the root is interior: the
+   slope is read at 1 on every device, and at the floor only where it is
+   positive at 1. The minimal uplink is at peak power, or on a binding
+   energy budget the Lambert-W root of the perspective rate equation, by
+   monotone Newton; it returns its energy elasticity, which gives the
+   slope's and curvature's uplink terms, and an infinite time where no
+   uplink serves a factor, the delay's barrier. The block generalizes the
+   paper's closed form (:func:`optimal_beta`), which holds the uplink pair
+   fixed;
 2. rate block: the minimal uplink at the new factor; the energy-capped local
    rate in closed form, nudged down until it leaves the uplink its energy in
    float; then monotone Newton on the delay cap that splits the server
    capacity so every active device finishes at the same time.
+
+The closed forms take the factor's powers beta**k and beta**(1 - p), which
+:func:`_powers` computes once per factor: per slope probe (none at 1, where
+both are exactly 1), and once for the three steps of the rate block.
 
 The raw-upload baseline is the loop's start point without extraction, and
 the retained-extraction baseline is the loop with every factor floor at 1.
@@ -158,22 +164,28 @@ class _Scenario:
         return sub
 
 
-# A = 0 makes each closed form exactly 0, so devices without work need no mask
-def _extraction_energy(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray) -> np.ndarray:
-    return sc.a * sc.A * sc.kappa * f_local**2 / beta**sc.k
+def _powers(sc: _Scenario, beta) -> tuple[np.ndarray, np.ndarray]:
+    """beta**k and beta**(1 - p), the factor's powers every closed form reads."""
+    return beta**sc.k, beta ** (1.0 - sc.p)
 
 
-def _t_local(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray) -> np.ndarray:
-    return sc.a * sc.A / (beta**sc.k * f_local)
+# The closed forms take the factor's powers, computed once per factor by
+# _powers; A = 0 makes each exactly 0, so devices without work need no mask
+def _extraction_energy(sc: _Scenario, beta_k, f_local: np.ndarray) -> np.ndarray:
+    return sc.a * sc.A * sc.kappa * f_local**2 / beta_k
 
 
-def _remote_cycles(sc: _Scenario, beta: np.ndarray) -> np.ndarray:
-    return sc.A * sc.I * beta ** (1.0 - sc.p)
+def _t_local(sc: _Scenario, beta_k, f_local: np.ndarray) -> np.ndarray:
+    return sc.a * sc.A / (beta_k * f_local)
 
 
-def _t_remote(sc: _Scenario, beta: np.ndarray, f_remote: np.ndarray) -> np.ndarray:
+def _remote_cycles(sc: _Scenario, beta_1mp) -> np.ndarray:
+    return sc.A * sc.I * beta_1mp
+
+
+def _t_remote(sc: _Scenario, beta_1mp, f_remote: np.ndarray) -> np.ndarray:
     # devices without work have no server share, and 0/1e-300 is 0
-    return _remote_cycles(sc, beta) / np.maximum(f_remote, 1e-300)
+    return _remote_cycles(sc, beta_1mp) / np.maximum(f_remote, 1e-300)
 
 
 def _bits_carried(sc: _Scenario, h, e, t):
@@ -183,8 +195,8 @@ def _bits_carried(sc: _Scenario, h, e, t):
     return np.where(t > 0, bits, 0.0)
 
 
-def _delays(sc: _Scenario, beta, f_local, t_transmit, f_remote) -> np.ndarray:
-    return _t_local(sc, beta, f_local) + t_transmit + _t_remote(sc, beta, f_remote)
+def _delays(sc: _Scenario, powers, f_local, t_transmit, f_remote) -> np.ndarray:
+    return _t_local(sc, powers[0], f_local) + t_transmit + _t_remote(sc, powers[1], f_remote)
 
 
 # --- block solves -----------------------------------------------------------
@@ -203,16 +215,16 @@ def _nudge(x: np.ndarray, short, up: bool = True) -> tuple[np.ndarray, np.ndarra
     return x, flagged
 
 
-def _local_rate_block(sc: _Scenario, beta, e_transmit, incumbent=0.0) -> np.ndarray:
+def _local_rate_block(sc: _Scenario, beta_k, e_transmit, incumbent=0.0) -> np.ndarray:
     """Largest local rate whose extraction leaves e_transmit in float: the
     energy-capped closed form, nudged down until E - extraction energy >=
     e_transmit, as the refine block reads it. A lane with nothing left for
     extraction (rate 0, or no nudge suffices) keeps the incumbent (default 0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        unclamped = np.sqrt(beta**sc.k * np.maximum(sc.E - e_transmit, 0.0)
+        unclamped = np.sqrt(beta_k * np.maximum(sc.E - e_transmit, 0.0)
                             / (sc.a * sc.A * sc.kappa))
     f = np.fmin(sc.f_max, unclamped)  # 0/0, where nothing is extracted, leaves the cap
-    f, short = _nudge(f, lambda f: sc.E - _extraction_energy(sc, beta, f) < e_transmit,
+    f, short = _nudge(f, lambda f: sc.E - _extraction_energy(sc, beta_k, f) < e_transmit,
                       up=False)
     return np.where(short | (f == 0), incumbent, f)
 
@@ -264,9 +276,9 @@ def _uplink(sc: _Scenario, bits: np.ndarray,
     return t, w
 
 
-def _transmit_block(sc: _Scenario, beta: np.ndarray,
+def _transmit_block(sc: _Scenario, beta: np.ndarray, beta_k,
                     f_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e_budget = sc.E - _extraction_energy(sc, beta, f_local)
+    e_budget = sc.E - _extraction_energy(sc, beta_k, f_local)
     t, _ = _uplink(sc, beta * sc.A, e_budget)
     short = np.isinf(t)
     if np.any(short):
@@ -280,30 +292,35 @@ def _transmit_block(sc: _Scenario, beta: np.ndarray,
     return t, np.minimum(sc.p_max * t, e_budget)
 
 
-def _remote_block(sc: _Scenario, beta: np.ndarray, f_local: np.ndarray,
+def _remote_block(sc: _Scenario, powers, f_local: np.ndarray,
                   t_transmit: np.ndarray) -> tuple[float, np.ndarray]:
-    f_remote = np.zeros(sc.n)
     act = sc.active
     if not np.any(act):
-        return 0.0, f_remote
-    w = _remote_cycles(sc, beta)[act]
-    base = (_t_local(sc, beta, f_local) + t_transmit)[act]
+        return 0.0, np.zeros(sc.n)
+    w = _remote_cycles(sc, powers[1])[act]
+    gap = (_t_local(sc, powers[0], f_local) + t_transmit)[act]
     # Newton on 1/sum(w/(delta + gap)) = 1/F for the offset delta of the common
     # completion time above the latest start, which an abundant capacity cannot
     # round away. The left side is concave and increasing, so the iterates rise
     # monotonically from the single-device bound (exactly, if all gaps are 0).
-    top = float(base.max())
-    gap = top - base
+    # The gap to the latest start overwrites the start, and the shares and
+    # their derivative terms reuse one buffer, so the block holds at most four
+    # arrays at a time.
+    top = float(gap.max())
+    np.subtract(top, gap, out=gap)
     delta = float(np.max(w / sc.F - gap))
+    f = np.empty_like(w)
     for _ in range(_MAX_ITERS):
-        f = w / (delta + gap)
-        total = float(f.sum())
-        step = total * (total - sc.F) / (sc.F * float(np.sum(f * f / w)))
+        total = float(np.divide(w, np.add(gap, delta, out=f), out=f).sum())
+        np.divide(np.multiply(f, f, out=f), w, out=f)
+        step = total * (total - sc.F) / (sc.F * float(f.sum()))
         if not step > delta * _ULPS:
             break
         delta += step
+    f_remote = np.zeros(sc.n)
+
     def overflows(d):  # finish on the side where the shares fit in the capacity
-        f_remote[act] = w / (d + gap)
+        f_remote[act] = np.divide(w, np.add(gap, d, out=f), out=f)
         return f_remote.sum() > sc.F
 
     return top + float(_nudge(np.array(delta), overflows)[0]), f_remote
@@ -320,7 +337,11 @@ def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) 
         )
         cap_bits = _bits_carried(sc, sc.h, e_transmit, t_transmit)
         eta2 = np.minimum(1.0, cap_bits / np.maximum(sc.A, 1e-300))
-    empty = (remaining <= 0) | (eta1 > eta2 * (1.0 + 1e-12) + 1e-300)
+    # E - e_transmit carries up to half an ulp of E of rounding where the uplink
+    # spends E minus the extraction energy, as solve's does, and eta1 carries 1/k
+    # of its relative error; the slack covers that twice over
+    slack = 1e-12 + np.spacing(sc.E) / (sc.k * np.maximum(remaining, np.spacing(sc.E)))
+    empty = (remaining <= 0) | (eta1 > eta2 * (1.0 + slack) + 1e-300)
     if np.any(empty):
         raise FeasibilityError(int(np.argmax(empty)), FeasibilityCause.INVALID_SCENARIO,
                                "empty extraction-factor interval")
@@ -331,11 +352,12 @@ def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) 
     return np.where(sc.p >= 1.0, eta2, np.clip(mu, eta1, eta2))
 
 
-def _factor_slope(sc: _Scenario, b, f_local, f_remote,
+def _factor_slope(sc: _Scenario, b, powers, f_local, f_remote,
                   incumbent) -> tuple[np.ndarray, np.ndarray]:
-    """d/d ln b and d2/d ln b2 of the refine block's delay; the slope is +-inf
-    (its barrier) where no uplink serves b, and the curvature is not finite."""
-    e_extract = _extraction_energy(sc, b, f_local)
+    """d/d ln b and d2/d ln b2 of the refine block's delay at the factor b of
+    the given powers; the slope is +-inf (its barrier) where no uplink serves
+    b, and the curvature is not finite."""
+    e_extract = _extraction_energy(sc, powers[0], f_local)
     e_budget = sc.E - e_extract
     bits = b * sc.A
     t_uplink, w = _uplink(sc, bits, e_budget)
@@ -355,7 +377,7 @@ def _factor_slope(sc: _Scenario, b, f_local, f_remote,
         d_uplink, dd_uplink = t_uplink.copy(), t_uplink.copy()
         d_uplink[lim] = t * gain
         dd_uplink[lim] = t * (gain * gain + dw * u + w * du)
-    t_local, t_remote = _t_local(sc, b, f_local), _t_remote(sc, b, f_remote)
+    t_local, t_remote = _t_local(sc, powers[0], f_local), _t_remote(sc, powers[1], f_remote)
     slope = -sc.k * t_local + (1.0 - sc.p) * t_remote + d_uplink
     slope = np.where(np.isinf(t_uplink), np.where(b < incumbent, -np.inf, np.inf), slope)
     return slope, sc.k**2 * t_local + (1.0 - sc.p) ** 2 * t_remote + dd_uplink
@@ -367,38 +389,50 @@ def _refine_block(sc: _Scenario, beta, f_local, f_remote) -> np.ndarray:
     Minimizes extraction delay + minimal uplink time + remote delay, which
     is convex in x = ln(factor) (partial minimization of the jointly convex
     subproblem), by Newton's method on its slope, run only on the devices
-    whose root is interior to [beta_min, 1]. Where no uplink carries the bits
-    the delay is +inf, and the incumbent factor is feasible, so the feasible
-    factors form an interval around it. Newton starts from the incumbent; the
-    bracket [ln beta_min, 0] shrinks on the slope's sign, and a step leaving
-    it probes its midpoint. A lane stops once its step is a few ulps, its
-    bracket closes or its slope is 0, and takes its last probe of finite
-    slope, which is feasible.
+    whose root is interior to [beta_min, 1]. The slope is read first at the
+    ceiling, whose powers are exactly 1, on every device; a device of slope
+    <= 0 there takes 1. The floor's slope is read only on the others, and a
+    device of slope >= 0 there takes beta_min. Where no uplink carries the
+    bits the delay is +inf, and the incumbent factor is feasible, so the
+    feasible factors form an interval around it. Newton starts from the
+    incumbent; the bracket [ln beta_min, 0] shrinks on the slope's sign, and a
+    step leaving it probes its midpoint. A lane stops once its step is a few
+    ulps, its bracket closes or its slope is 0, and takes its last probe of
+    finite slope, which is feasible.
     """
-    slope_lo = _factor_slope(sc, sc.beta_min, f_local, f_remote, beta)[0]
-    slope_hi = _factor_slope(sc, 1.0, f_local, f_remote, beta)[0]
+    slope_hi = _factor_slope(sc, 1.0, (1.0, 1.0), f_local, f_remote, beta)[0]
     # at-end lanes take their end exactly; devices without work, of zero slope, take 1
     beta_new = np.where(slope_hi <= 0, 1.0, sc.beta_min)
-    idx = np.flatnonzero(~(slope_lo >= 0) & ~(slope_hi <= 0))
-    if idx.size:
+    idx = np.flatnonzero(~(slope_hi <= 0))
+    if idx.size == 0:
+        return beta_new
+    sub, fl, fr, inc = (sc, f_local, f_remote, beta) if idx.size == sc.n else (
+        sc.take(idx), f_local[idx], f_remote[idx], beta[idx])
+    slope_lo = _factor_slope(sub, sub.beta_min, _powers(sub, sub.beta_min), fl, fr, inc)[0]
+    interior = np.flatnonzero(~(slope_lo >= 0))
+    if interior.size == 0:
+        return beta_new
+    if interior.size < idx.size:
+        idx = idx[interior]
         sub, fl, fr, inc = sc.take(idx), f_local[idx], f_remote[idx], beta[idx]
-        xa, xb = np.log(sub.beta_min), np.zeros(idx.size)
-        x = best = np.log(inc)
-        moving = np.ones(idx.size, dtype=bool)
-        for _ in range(_MAX_ITERS):
-            slope, curvature = _factor_slope(sub, np.exp(x), fl, fr, inc)
-            # a stopped lane probes its own x again, which changes nothing
-            best = np.where(np.isfinite(slope), x, best)
-            xa, xb = np.where(slope < 0, x, xa), np.where(slope > 0, x, xb)
-            with np.errstate(divide="ignore", invalid="ignore"):  # NaN after a barrier probe
-                step = slope / curvature
-            tol = _ULPS * np.maximum(1.0, np.abs(x))
-            moving &= ~(np.abs(step) <= tol) & (xb - xa > tol) & (slope != 0)
-            if not np.any(moving):
-                break
-            x_new = np.where((xa < x - step) & (x - step < xb), x - step, 0.5 * (xa + xb))
-            x = np.where(moving, x_new, x)
-        beta_new[idx] = np.clip(np.exp(best), sub.beta_min, 1.0)
+    xa, xb = np.log(sub.beta_min), np.zeros(idx.size)
+    x = best = np.log(inc)
+    moving = np.ones(idx.size, dtype=bool)
+    for _ in range(_MAX_ITERS):
+        b = np.exp(x)
+        slope, curvature = _factor_slope(sub, b, _powers(sub, b), fl, fr, inc)
+        # a stopped lane probes its own x again, which changes nothing
+        best = np.where(np.isfinite(slope), x, best)
+        xa, xb = np.where(slope < 0, x, xa), np.where(slope > 0, x, xb)
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN after a barrier probe
+            step = slope / curvature
+        tol = _ULPS * np.maximum(1.0, np.abs(x))
+        moving &= ~(np.abs(step) <= tol) & (xb - xa > tol) & (slope != 0)
+        if not np.any(moving):
+            break
+        x_new = np.where((xa < x - step) & (x - step < xb), x - step, 0.5 * (xa + xb))
+        x = np.where(moving, x_new, x)
+    beta_new[idx] = np.clip(np.exp(best), sub.beta_min, 1.0)
     return beta_new
 
 
@@ -468,7 +502,8 @@ def optimal_local_rate(td: TerminalDevice, beta: float, e_transmit: float,
         raise FeasibilityError(0, FeasibilityCause.EXTRACTION_ENERGY_EXCEEDS_BUDGET,
                                "no energy left for extraction")
     sc = _Scenario([td], cfg)
-    return float(_local_rate_block(sc, np.array([beta]), np.array([e_transmit]))[0])
+    beta_k, _ = _powers(sc, np.array([beta]))
+    return float(_local_rate_block(sc, beta_k, np.array([e_transmit]))[0])
 
 
 def transmit_bisection(td: TerminalDevice, beta: float, f_local: float,
@@ -485,7 +520,8 @@ def transmit_bisection(td: TerminalDevice, beta: float, f_local: float,
     _check_input("beta", beta)
     _check_input("f_local", f_local)
     sc = _Scenario([td], cfg)
-    t, e = _transmit_block(sc, np.array([beta]), np.array([f_local]))
+    beta = np.array([beta])
+    t, e = _transmit_block(sc, beta, _powers(sc, beta)[0], np.array([f_local]))
     return float(t[0]), float(e[0])
 
 
@@ -501,7 +537,7 @@ def remote_rate_bisection(tds: Sequence[TerminalDevice], beta: Sequence[float],
     Newton solve, which has no tolerance to set.
     """
     sc = _Scenario(tds, cfg)
-    return _remote_block(sc, _input_column("beta", beta, sc.n),
+    return _remote_block(sc, _powers(sc, _input_column("beta", beta, sc.n)),
                          _input_column("f_local", f_local, sc.n),
                          _input_column("t_transmit", t_transmit, sc.n))
 
@@ -527,18 +563,29 @@ def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit
     return float(beta[0])
 
 
-def _split_server(sc: _Scenario, beta, f_local, t_transmit, e_transmit) -> Allocation:
+def _split_server(sc: _Scenario, beta, powers, f_local, t_transmit,
+                  e_transmit) -> Allocation:
     # completes the allocation, with its objective as the epigraph value:
     # devices without work have zero delay, and every other a positive one
-    _, f_remote = _remote_block(sc, beta, f_local, t_transmit)
+    _, f_remote = _remote_block(sc, powers, f_local, t_transmit)
     return Allocation(f_local, f_remote, t_transmit, e_transmit, beta,
-                      float(_delays(sc, beta, f_local, t_transmit, f_remote).max()))
+                      float(_delays(sc, powers, f_local, t_transmit, f_remote).max()))
+
+
+def _rate_block(sc: _Scenario, beta, f_local) -> Allocation:
+    """The allocation at a new factor: the minimal uplink at the incumbent
+    local rate, the new local rate, and the server split, all from one
+    computation of the factor's powers."""
+    powers = _powers(sc, beta)
+    t_transmit, e_transmit = _transmit_block(sc, beta, powers[0], f_local)
+    f_local = _local_rate_block(sc, powers[0], e_transmit, f_local)
+    return _split_server(sc, beta, powers, f_local, t_transmit, e_transmit)
 
 
 def _report(sc: _Scenario, alloc: Allocation, trace: List[float], iterations: int,
             converged: bool) -> SolverReport:
-    tightness = trace[-1] - _delays(sc, alloc.beta, alloc.f_local, alloc.t_transmit,
-                                    alloc.f_remote)
+    tightness = trace[-1] - _delays(sc, _powers(sc, alloc.beta), alloc.f_local,
+                                    alloc.t_transmit, alloc.f_remote)
     return SolverReport(alloc, trace, iterations, converged, tightness)
 
 
@@ -550,8 +597,10 @@ def _start(sc: _Scenario) -> Allocation:
     with np.errstate(divide="ignore", over="ignore"):
         m = sc.A * sc.sigma2 * _LN2 / (sc.h * sc.B)
         beta = np.clip(sc.E / (2.0 * m), sc.beta_min, 1.0)
-    f_local = _local_rate_block(sc, beta, np.minimum(0.5 * (sc.E + beta * m), sc.E))
-    return _split_server(sc, beta, f_local, *_transmit_block(sc, beta, f_local))
+    powers = _powers(sc, beta)
+    f_local = _local_rate_block(sc, powers[0], np.minimum(0.5 * (sc.E + beta * m), sc.E))
+    return _split_server(sc, beta, powers, f_local,
+                         *_transmit_block(sc, beta, powers[0], f_local))
 
 
 def _at_start(sc: _Scenario) -> SolverReport:
@@ -582,9 +631,7 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
     for iterations in range(1, cfg.max_outer_iters + 1):
         # the incumbent factor stays feasible: the rate block leaves the uplink its energy
         beta = _refine_block(sc, alloc.beta, alloc.f_local, alloc.f_remote)
-        t_transmit, e_transmit = _transmit_block(sc, beta, alloc.f_local)
-        f_local = _local_rate_block(sc, beta, e_transmit, alloc.f_local)
-        candidate = _split_server(sc, beta, f_local, t_transmit, e_transmit)
+        candidate = _rate_block(sc, beta, alloc.f_local)
         if candidate.t_epigraph > trace[-1]:
             # a rise is rounding at the optimum: the incumbent is the answer
             converged = True
@@ -606,9 +653,10 @@ def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
     """
     sc = _Scenario(tds, cfg)
     beta_w, f_local_w = _checked_point(sc, alloc)
-    delays = _delays(sc, beta_w, f_local_w, alloc.t_transmit, alloc.f_remote)
+    powers = _powers(sc, beta_w)
+    delays = _delays(sc, powers, f_local_w, alloc.t_transmit, alloc.f_remote)
     delay_cap = alloc.t_epigraph - delays
-    energy = sc.E - _extraction_energy(sc, beta_w, f_local_w) - alloc.e_transmit
+    energy = sc.E - _extraction_energy(sc, powers[0], f_local_w) - alloc.e_transmit
     rate = _bits_carried(sc, sc.h, alloc.e_transmit, alloc.t_transmit) - alloc.beta * sc.A
     rate = np.where(sc.active, rate, 0.0)
     f_local_cap = np.log(sc.f_max) - np.log(alloc.f_local)
@@ -634,7 +682,8 @@ def delay_breakdown(tds: Sequence[TerminalDevice], alloc: Allocation, cfg: Syste
     """
     sc = _Scenario(tds, cfg, extraction)
     beta, f_local = _checked_point(sc, alloc)
-    t_local = _t_local(sc, beta, f_local)
+    beta_k, beta_1mp = _powers(sc, beta)
+    t_local = _t_local(sc, beta_k, f_local)
     t_transmit = np.where(sc.active, alloc.t_transmit, 0.0)
-    t_remote = _t_remote(sc, beta, alloc.f_remote)
+    t_remote = _t_remote(sc, beta_1mp, alloc.f_remote)
     return np.stack([t_local, t_transmit, t_remote, t_local + t_transmit + t_remote], axis=1)

@@ -26,9 +26,11 @@ from semec import (
     solve_no_semantic,
     transmit_bisection,
 )
+from semec import solver as solver_module
 from semec.model import DeviceTable, semantic_constants
-from semec.solver import (_extraction_energy, _factor_slope, _refine_block, _remote_cycles,
-                          _Scenario, _start, _t_local, _t_remote, _transmit_block, _uplink)
+from semec.solver import (_extraction_energy, _factor_slope, _powers, _refine_block,
+                          _remote_cycles, _Scenario, _start, _t_local, _t_remote,
+                          _transmit_block, _uplink)
 
 
 def make_device(**overrides) -> TerminalDevice:
@@ -92,7 +94,8 @@ class TestOptimalLocalRate:
         td = make_device(energy_budget=budget, f_local_max=1e30)
         e_transmit = share * budget
         rate = optimal_local_rate(td, beta, e_transmit, CFG)
-        e_extract = _extraction_energy(_Scenario([td], CFG), np.array([beta]), np.array([rate]))
+        sc = _Scenario([td], CFG)
+        e_extract = _extraction_energy(sc, _powers(sc, np.array([beta]))[0], np.array([rate]))
         assert rate > 0 and budget - e_extract[0] >= e_transmit
 
 
@@ -344,6 +347,27 @@ class TestBlockOracles:
         assert t.tobytes() == (sc.A / sc.r_full).tobytes()
 
 
+# solve answers these devices with an uplink that leaves 5.0e-8 (four decades
+# beyond the wide box) and 1.5e-15 (eight decades) of the budget to extraction,
+# so E - e_transmit carries up to half an ulp of E of rounding
+_ROUNDED_REMAINDER = {
+    "four_decades": (
+        [TerminalDevice(task_bits=652445.4569728847, intensity=632423.1055873676,
+                        energy_coeff=8.171426992930076e-22, f_local_max=238647.39878781434,
+                        p_tx_max=374.3014702938154, beta_min=0.06380884083646075,
+                        energy_budget=1.6883818919894906, channel_gain=2.8049122753424846e-11,
+                        sem_k=3.8027413811397133, sem_p=3.0)],
+        SystemConfig(f_mec_total=20372342791.103905, sem_a=0.0027892315048660687)),
+    "eight_decades": (
+        [TerminalDevice(task_bits=2415.4891240166844, intensity=1100974.6985109067,
+                        energy_coeff=6.158961830574242e-30, f_local_max=1967.0858514710778,
+                        p_tx_max=5.819126467886806, beta_min=0.0012931077748662288,
+                        energy_budget=1.977900270092776e-06, channel_gain=2.997885224162356e-11,
+                        sem_k=4.548714186693976, sem_p=1.5)],
+        SystemConfig(f_mec_total=25.142367110289847, sem_a=0.05236536500864355)),
+}
+
+
 class TestOptimalBeta:
     def test_reference_constants_take_upper_end(self):
         # k=4, p=3 >= 1: the delay decreases in the factor, so the
@@ -386,6 +410,15 @@ class TestOptimalBeta:
             optimal_beta(td, 1e9, 1.3e9, 1e-4, 1e-6, CFG)
         assert err.value.cause is FeasibilityCause.INVALID_SCENARIO
 
+    @pytest.mark.parametrize("draw", _ROUNDED_REMAINDER.values(), ids=_ROUNDED_REMAINDER.keys())
+    def test_accepts_solve_answer_with_rounded_remaining_energy(self, draw):
+        tds, cfg = draw
+        alloc = solve(tds, cfg).allocation
+        assert 0 < tds[0].energy_budget - alloc.e_transmit[0] < 1e-7 * tds[0].energy_budget
+        beta = optimal_beta(tds[0], alloc.f_local[0], alloc.f_remote[0], alloc.t_transmit[0],
+                            alloc.e_transmit[0], cfg)
+        assert tds[0].beta_min <= beta <= 1.0
+
     def test_matches_fine_grid_across_exponents(self):
         rng = np.random.default_rng(7)
         checked = 0
@@ -426,9 +459,10 @@ class TestRefineBlock:
         f_local, f_remote = np.array([1e9]), np.array([13e9])
         sc = _Scenario([td], cfg)
         beta = _refine_block(sc, np.array([0.3]), f_local, f_remote)
-        t, _ = _transmit_block(sc, beta, f_local)
-        objective = float((_t_local(sc, beta, f_local) + t
-                           + _remote_cycles(sc, beta) / f_remote)[0])
+        beta_k, beta_1mp = _powers(sc, beta)
+        t, _ = _transmit_block(sc, beta, beta_k, f_local)
+        objective = float((_t_local(sc, beta_k, f_local) + t
+                           + _remote_cycles(sc, beta_1mp) / f_remote)[0])
         assert beta[0] == pytest.approx(0.250593, rel=1e-6)
         assert objective == pytest.approx(0.54244451929, rel=1e-10)
 
@@ -436,9 +470,10 @@ class TestRefineBlock:
         grid = np.geomspace(td.beta_min, 1.0, 200_000)
         wide = _Scenario(DeviceTable(**{**asdict(td), "task_bits": np.full(grid.size, 3e6)}), cfg)
         f_local, f_remote = np.full(grid.size, 1e9), np.full(grid.size, 13e9)
-        e_budget = td.energy_budget - _extraction_energy(wide, grid, f_local)
+        grid_k, grid_1mp = _powers(wide, grid)
+        e_budget = td.energy_budget - _extraction_energy(wide, grid_k, f_local)
         t_scan, _ = _uplink(wide, grid * td.task_bits, e_budget)
-        scan = _t_local(wide, grid, f_local) + t_scan + _remote_cycles(wide, grid) / f_remote
+        scan = _t_local(wide, grid_k, f_local) + t_scan + _remote_cycles(wide, grid_1mp) / f_remote
         assert np.isinf(scan[0]) and np.isinf(scan[-1])
         assert objective <= scan.min() * (1 + 1e-12)
 
@@ -452,14 +487,15 @@ class TestRefineBlock:
                    "channel_gain": gains, "energy_budget": budgets}
         sc = _Scenario(DeviceTable(**columns), cfg)
         b, f_local, f_remote = np.full(6, 0.7), np.full(6, 5e8), np.full(6, 1e9)
-        slope, curvature = _factor_slope(sc, b, f_local, f_remote, b)
-        _, w = _uplink(sc, b * sc.A, sc.E - _extraction_energy(sc, b, f_local))
+        slope, curvature = _factor_slope(sc, b, _powers(sc, b), f_local, f_remote, b)
+        _, w = _uplink(sc, b * sc.A, sc.E - _extraction_energy(sc, _powers(sc, b)[0], f_local))
         assert np.all(w[:4] > 0) and np.all(w[4:] == 0)
 
         def delay(x):
             beta = b * np.exp(x)
-            t, _ = _uplink(sc, beta * sc.A, sc.E - _extraction_energy(sc, beta, f_local))
-            return _t_local(sc, beta, f_local) + t + _t_remote(sc, beta, f_remote)
+            beta_k, beta_1mp = _powers(sc, beta)
+            t, _ = _uplink(sc, beta * sc.A, sc.E - _extraction_energy(sc, beta_k, f_local))
+            return _t_local(sc, beta_k, f_local) + t + _t_remote(sc, beta_1mp, f_remote)
 
         # fourth-order central differences in ln(factor)
         h = 1e-3
@@ -469,7 +505,42 @@ class TestRefineBlock:
 
         np.testing.assert_allclose(slope, derivative(delay), rtol=1e-8)
         np.testing.assert_allclose(curvature, derivative(
-            lambda x: _factor_slope(sc, b * np.exp(x), f_local, f_remote, b)[0]), rtol=1e-8)
+            lambda x: _factor_slope(sc, b * np.exp(x), _powers(sc, b * np.exp(x)), f_local,
+                                    f_remote, b)[0]), rtol=1e-8)
+
+    def test_floor_slope_read_only_where_ceiling_slope_is_positive(self, reference,
+                                                                   monkeypatch):
+        probes = []
+
+        def recording(sc, b, powers, f_local, f_remote, incumbent):
+            probes.append((b, sc.n, f_remote))
+            return _factor_slope(sc, b, powers, f_local, f_remote, incumbent)
+
+        monkeypatch.setattr(solver_module, "_factor_slope", recording)
+        # every semantic device of the reference scenario ends at 1: one probe
+        sc = _Scenario(reference.devices, reference.system)
+        alloc = solve(reference.devices, reference.system).allocation
+        probes.clear()
+        beta = _refine_block(sc, alloc.beta, alloc.f_local, alloc.f_remote)
+        assert np.all(beta == 1.0)
+        assert [(b, n) for b, n, _ in probes] == [(1.0, sc.n)]
+
+        # twelve devices from 100 to 400 m on 15 mJ: 7 end at 1, 4 inside and 1 at 0.6
+        gains = generate_channel_gains(np.linspace(100.0, 400.0, 12))
+        columns = {**asdict(make_device(energy_budget=0.015)), "channel_gain": gains}
+        sc = _Scenario(DeviceTable(**columns), CFG)
+        start = _start(sc)
+        ceiling = _factor_slope(sc, 1.0, (1.0, 1.0), start.f_local, start.f_remote, start.beta)[0]
+        rising = ceiling > 0
+        probes.clear()
+        beta = _refine_block(sc, start.beta, start.f_local, start.f_remote)
+        assert np.all(beta[~rising] == 1.0) and 0 < beta[rising].min() == sc.beta_min[0]
+        assert probes[0][:2] == (1.0, sc.n)
+        floor, n_floor, f_remote = probes[1]
+        assert n_floor == rising.sum() == 5
+        assert floor.tobytes() == sc.beta_min[rising].tobytes()
+        assert f_remote.tobytes() == start.f_remote[rising].tobytes()
+        assert all(n < n_floor for _, n, _ in probes[2:])
 
 
 @st.composite
@@ -490,6 +561,29 @@ def wide_box_draws(draw, max_n: int = 4):
     return tds, cfg
 
 
+class TestClosedForms:
+    @settings(max_examples=200, deadline=None)
+    @given(wide_box_draws(max_n=8), st.data())
+    def test_closed_forms_from_powers_match_direct_expressions(self, draw, data):
+        # the reference CSVs depend on each closed form's order of operations
+        tds, cfg = draw
+        n = len(tds)
+        sc = _Scenario(tds, cfg)
+
+        def column(strategy):
+            return np.array(data.draw(st.lists(strategy, min_size=n, max_size=n)))
+
+        beta = sc.beta_min ** column(st.floats(0.0, 1.0))
+        f_local, f_remote = column(log_uniform(1e5, 2e9)), column(log_uniform(1e6, 3e10))
+        for powers, b in ((_powers(sc, beta), beta), ((1.0, 1.0), np.ones(n))):
+            closed = (_extraction_energy(sc, powers[0], f_local), _t_local(sc, powers[0], f_local),
+                      _t_remote(sc, powers[1], f_remote))
+            direct = (sc.a * sc.A * sc.kappa * f_local**2 / b**sc.k,
+                      sc.a * sc.A / (b**sc.k * f_local), sc.A * sc.I * b ** (1.0 - sc.p) / f_remote)
+            for ours, theirs in zip(closed, direct):
+                assert ours.tobytes() == theirs.tobytes()
+
+
 class TestLaneIndependence:
     """A device's result does not depend on the devices beside it in a call:
     each inner loop freezes a lane once it stops, and its steps depend only
@@ -506,13 +600,14 @@ class TestLaneIndependence:
         except FeasibilityError:
             assume(False)
         beta = _refine_block(sc, start.beta, start.f_local, start.f_remote)
-        together = (beta, *_transmit_block(sc, beta, start.f_local))
+        together = (beta, *_transmit_block(sc, beta, _powers(sc, beta)[0], start.f_local))
         for i, td in enumerate(tds):
             own = slice(i, i + 1)
             sc_own = _Scenario([td], cfg)
             beta_own = _refine_block(sc_own, start.beta[own], start.f_local[own],
                                      start.f_remote[own])
-            alone = (beta_own, *_transmit_block(sc_own, beta_own, start.f_local[own]))
+            alone = (beta_own, *_transmit_block(sc_own, beta_own, _powers(sc_own, beta_own)[0],
+                                                start.f_local[own]))
             for joint, single in zip(together, alone):
                 assert joint[own].tobytes() == single.tobytes()
 
