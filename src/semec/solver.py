@@ -406,8 +406,7 @@ def _refine_block(sc: _Scenario, beta, f_local, f_remote) -> np.ndarray:
     idx = np.flatnonzero(~(slope_hi <= 0))
     if idx.size == 0:
         return beta_new
-    sub, fl, fr, inc = (sc, f_local, f_remote, beta) if idx.size == sc.n else (
-        sc.take(idx), f_local[idx], f_remote[idx], beta[idx])
+    sub, fl, fr, inc = sc.take(idx), f_local[idx], f_remote[idx], beta[idx]
     slope_lo = _factor_slope(sub, sub.beta_min, _powers(sub, sub.beta_min), fl, fr, inc)[0]
     interior = np.flatnonzero(~(slope_lo >= 0))
     if interior.size == 0:
