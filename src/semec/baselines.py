@@ -35,7 +35,7 @@ def solve_local_only(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> Solver
     Devices without task bits run at the cap in zero time.
     """
     sc = _Scenario(tds, cfg)
-    cycles = sc.A * sc.I
+    cycles = sc.raw_cycles
     # no cycles (or next to none) make the energy-bound rate infinite, so the cap binds
     with np.errstate(divide="ignore", over="ignore"):
         f_local = np.minimum(sc.f_max, np.sqrt(sc.E / (sc.kappa * cycles)))

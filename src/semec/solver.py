@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -120,11 +120,21 @@ class ConstraintResiduals:
 class _Scenario:
     """Array view of the device table and the system, made once per solve.
 
+    Each device's constant products are computed here once, in the order of
+    operations every closed form used to compute them in: the extraction
+    cycles a*A, their energy coefficient (a*A)*kappa, the raw remote cycles
+    A*I and the remote-workload exponent 1 - p. They replace a and p, which
+    no closed form reads alone.
+
     Raises ValueError for an empty device sequence.
     """
 
-    __slots__ = ("n", "A", "I", "kappa", "f_max", "p_max", "beta_min", "E", "h",
-                 "a", "k", "p", "B", "sigma2", "F", "active", "r_full")
+    __slots__ = ("n", "A", "I", "kappa", "f_max", "p_max", "beta_min", "E", "h", "k",
+                 "extract_cycles", "extract_coeff", "raw_cycles", "q", "B", "sigma2", "F",
+                 "active", "r_full")
+    # the columns the factor search and its uplink solves read, which take gathers
+    _SEARCHED = ("A", "p_max", "beta_min", "E", "h", "k", "extract_cycles", "extract_coeff",
+                 "raw_cycles", "q", "r_full")
 
     def __init__(self, tds: Sequence[TerminalDevice], cfg: SystemConfig, extraction: bool = True):
         table = DeviceTable.from_devices(tds)
@@ -139,12 +149,16 @@ class _Scenario:
         self.beta_min = table.beta_min
         self.E = table.energy_budget
         self.h = table.channel_gain
-        self.a, self.k, self.p = table.semantic_constants(cfg)
+        a, self.k, p = table.semantic_constants(cfg)
         if not extraction:
             # raw upload: no extraction (a = 0), raw workload A*I (p = 1), factor held at 1
-            self.a = np.zeros(self.n)
-            self.p = np.ones(self.n)
+            a, p = np.zeros(self.n), np.ones(self.n)
             self.beta_min = np.ones(self.n)
+        # a and p are this scenario's own arrays, so the products overwrite them
+        self.extract_cycles = np.multiply(a, self.A, out=a)
+        self.extract_coeff = self.extract_cycles * self.kappa
+        self.raw_cycles = self.A * self.I
+        self.q = np.subtract(1.0, p, out=p)
         self.B = cfg.bandwidth_hz
         self.sigma2 = cfg.noise_power_w
         self.F = cfg.f_mec_total
@@ -155,37 +169,49 @@ class _Scenario:
                                self.B / _LN2 * np.log1p(self.h * self.p_max / self.sigma2), 1.0)
 
     def take(self, idx: np.ndarray) -> _Scenario:
-        """The scenario of the devices ``idx``, sharing the system scalars."""
+        """The factor search's scenario of the devices ``idx``: the columns it
+        and its uplink solves read, and the system scalars."""
         sub = object.__new__(_Scenario)
         for name in self.__slots__:
             value = getattr(self, name)
-            setattr(sub, name, value[idx] if isinstance(value, np.ndarray) else value)
+            if not isinstance(value, np.ndarray):
+                setattr(sub, name, value)
+            elif name in self._SEARCHED:
+                setattr(sub, name, value[idx])
         sub.n = len(idx)
         return sub
 
 
 def _powers(sc: _Scenario, beta) -> tuple[np.ndarray, np.ndarray]:
     """beta**k and beta**(1 - p), the factor's powers every closed form reads."""
-    return beta**sc.k, beta ** (1.0 - sc.p)
+    return beta**sc.k, beta**sc.q
 
 
 # The closed forms take the factor's powers, computed once per factor by
-# _powers; A = 0 makes each exactly 0, so devices without work need no mask
+# _powers, or None for the factor 1: its powers are exactly 1, and x*1.0 and
+# x/1.0 are x, so skipping them changes no bit. A = 0 makes each exactly 0,
+# so devices without work need no mask.
 def _extraction_energy(sc: _Scenario, beta_k, f_local: np.ndarray) -> np.ndarray:
-    return sc.a * sc.A * sc.kappa * f_local**2 / beta_k
+    e = sc.extract_coeff * f_local**2
+    return e if beta_k is None else np.divide(e, beta_k, out=e)
 
 
-def _t_local(sc: _Scenario, beta_k, f_local: np.ndarray) -> np.ndarray:
-    return sc.a * sc.A / (beta_k * f_local)
+def _t_local(sc: _Scenario, beta_k, f_local: np.ndarray, out=None) -> np.ndarray:
+    if beta_k is None:
+        return sc.extract_cycles / f_local
+    rate = np.multiply(beta_k, f_local, out=out)
+    return np.divide(sc.extract_cycles, rate, out=rate)
 
 
 def _remote_cycles(sc: _Scenario, beta_1mp) -> np.ndarray:
-    return sc.A * sc.I * beta_1mp
+    # at the factor 1 this is the scenario's own array, which callers only read
+    return sc.raw_cycles if beta_1mp is None else sc.raw_cycles * beta_1mp
 
 
-def _t_remote(sc: _Scenario, beta_1mp, f_remote: np.ndarray) -> np.ndarray:
+def _t_remote(cycles: np.ndarray, f_remote: np.ndarray) -> np.ndarray:
     # devices without work have no server share, and 0/1e-300 is 0
-    return _remote_cycles(sc, beta_1mp) / np.maximum(f_remote, 1e-300)
+    share = np.maximum(f_remote, 1e-300)
+    return np.divide(cycles, share, out=share)
 
 
 def _bits_carried(sc: _Scenario, h, e, t):
@@ -196,7 +222,10 @@ def _bits_carried(sc: _Scenario, h, e, t):
 
 
 def _delays(sc: _Scenario, powers, f_local, t_transmit, f_remote) -> np.ndarray:
-    return _t_local(sc, powers[0], f_local) + t_transmit + _t_remote(sc, powers[1], f_remote)
+    delays = _t_local(sc, powers[0], f_local)
+    delays += t_transmit
+    delays += _t_remote(_remote_cycles(sc, powers[1]), f_remote)
+    return delays
 
 
 # --- block solves -----------------------------------------------------------
@@ -222,7 +251,7 @@ def _local_rate_block(sc: _Scenario, beta_k, e_transmit, incumbent=0.0) -> np.nd
     extraction (rate 0, or no nudge suffices) keeps the incumbent (default 0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         unclamped = np.sqrt(beta_k * np.maximum(sc.E - e_transmit, 0.0)
-                            / (sc.a * sc.A * sc.kappa))
+                            / sc.extract_coeff)
     f = np.fmin(sc.f_max, unclamped)  # 0/0, where nothing is extracted, leaves the cap
     f, short = _nudge(f, lambda f: sc.E - _extraction_energy(sc, beta_k, f) < e_transmit,
                       up=False)
@@ -292,24 +321,28 @@ def _transmit_block(sc: _Scenario, beta: np.ndarray, beta_k,
     return t, np.minimum(sc.p_max * t, e_budget)
 
 
-def _remote_block(sc: _Scenario, powers, f_local: np.ndarray,
-                  t_transmit: np.ndarray) -> tuple[float, np.ndarray]:
+def _remote_block(sc: _Scenario, cycles: np.ndarray,
+                  start: np.ndarray) -> tuple[float, np.ndarray]:
+    """Delay cap and server split that finish every active device together,
+    from each device's remote cycles and the start of its remote work (local
+    plus uplink time); reads both without writing them."""
     act = sc.active
     if not np.any(act):
         return 0.0, np.zeros(sc.n)
-    w = _remote_cycles(sc, powers[1])[act]
-    gap = (_t_local(sc, powers[0], f_local) + t_transmit)[act]
+    if np.all(act):
+        act = slice(None)  # every device has work: views, not copies
+    w = cycles[act]
+    top = float(start[act].max())
+    gap = np.subtract(top, start[act])
     # Newton on 1/sum(w/(delta + gap)) = 1/F for the offset delta of the common
     # completion time above the latest start, which an abundant capacity cannot
     # round away. The left side is concave and increasing, so the iterates rise
     # monotonically from the single-device bound (exactly, if all gaps are 0).
-    # The gap to the latest start overwrites the start, and the shares and
-    # their derivative terms reuse one buffer, so the block holds at most four
-    # arrays at a time.
-    top = float(gap.max())
-    np.subtract(top, gap, out=gap)
-    delta = float(np.max(w / sc.F - gap))
+    # The shares and their derivative terms reuse one buffer, which also holds
+    # the shares returned when every device has work, so the block adds at most
+    # two arrays to its inputs then.
     f = np.empty_like(w)
+    delta = float(np.subtract(np.divide(w, sc.F, out=f), gap, out=f).max())
     for _ in range(_MAX_ITERS):
         total = float(np.divide(w, np.add(gap, delta, out=f), out=f).sum())
         np.divide(np.multiply(f, f, out=f), w, out=f)
@@ -317,7 +350,7 @@ def _remote_block(sc: _Scenario, powers, f_local: np.ndarray,
         if not step > delta * _ULPS:
             break
         delta += step
-    f_remote = np.zeros(sc.n)
+    f_remote = f if gap.size == sc.n else np.zeros(sc.n)
 
     def overflows(d):  # finish on the side where the shares fit in the capacity
         f_remote[act] = np.divide(w, np.add(gap, d, out=f), out=f)
@@ -326,14 +359,15 @@ def _remote_block(sc: _Scenario, powers, f_local: np.ndarray,
     return top + float(_nudge(np.array(delta), overflows)[0]), f_remote
 
 
-def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) -> np.ndarray:
-    # only for devices with task bits, as its single caller ensures
+def _beta_closed_form(sc: _Scenario, a, p, f_local, f_remote, t_transmit,
+                      e_transmit) -> np.ndarray:
+    # only for devices with task bits, as its single caller ensures; the
+    # stationary point reads the semantic constants a and p themselves
     remaining = sc.E - e_transmit
     with np.errstate(divide="ignore", invalid="ignore"):
         eta1 = np.maximum(
             sc.beta_min,
-            (sc.a * sc.A * sc.kappa * f_local**2 / np.maximum(remaining, 1e-300))
-            ** (1.0 / sc.k),
+            (sc.extract_coeff * f_local**2 / np.maximum(remaining, 1e-300)) ** (1.0 / sc.k),
         )
         cap_bits = _bits_carried(sc, sc.h, e_transmit, t_transmit)
         eta2 = np.minimum(1.0, cap_bits / np.maximum(sc.A, 1e-300))
@@ -347,40 +381,59 @@ def _beta_closed_form(sc: _Scenario, f_local, f_remote, t_transmit, e_transmit) 
                                "empty extraction-factor interval")
     eta1 = np.minimum(eta1, eta2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        exponent = 1.0 / (sc.k + 1.0 - sc.p)
-        mu = (sc.a * sc.k * f_remote / (f_local * sc.I * (1.0 - sc.p))) ** exponent
-    return np.where(sc.p >= 1.0, eta2, np.clip(mu, eta1, eta2))
+        exponent = 1.0 / (sc.k + 1.0 - p)
+        mu = (a * sc.k * f_remote / (f_local * sc.I * sc.q)) ** exponent
+    return np.where(sc.q <= 0.0, eta2, np.clip(mu, eta1, eta2))
 
 
-def _factor_slope(sc: _Scenario, b, powers, f_local, f_remote,
-                  incumbent) -> tuple[np.ndarray, np.ndarray]:
-    """d/d ln b and d2/d ln b2 of the refine block's delay at the factor b of
-    the given powers; the slope is +-inf (its barrier) where no uplink serves
-    b, and the curvature is not finite."""
-    e_extract = _extraction_energy(sc, powers[0], f_local)
+def _factor_slope(sc: _Scenario, b, powers, f_local, f_remote, incumbent,
+                  curvature: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """d/d ln b of the refine block's delay at the factor b of the given
+    powers (None at b = 1.0, whose powers are exactly 1), and d2/d ln b2 if
+    ``curvature`` (else None); the slope is +-inf (its barrier) where no
+    uplink serves b, and the curvature is not finite."""
+    beta_k, beta_1mp = (None, None) if powers is None else powers
+    e_extract = _extraction_energy(sc, beta_k, f_local)
     e_budget = sc.E - e_extract
-    bits = b * sc.A
+    bits = sc.A if powers is None else b * sc.A
     t_uplink, w = _uplink(sc, bits, e_budget)
+    barrier = np.isinf(t_uplink)
     # d ln t = (1+w) d ln bits - w d ln e_budget = (1 + w*u) d ln b, where w = 0 at
     # peak power and where no uplink serves b; on the energy-limited root, d ln c =
-    # u d ln b and d ln s/d ln c = -w give w' = -w^2*u*(c - s*w)
-    d_uplink = dd_uplink = t_uplink
+    # u d ln b and d ln s/d ln c = -w give w' = -w^2*u*(c - s*w). The uplink's
+    # derivatives overwrite its time only on those lanes
     lim = np.flatnonzero(w)
+    dd_uplink = t_uplink
     if lim.size:
         t, w, k, e_x, e_b = t_uplink[lim], w[lim], sc.k[lim], e_extract[lim], e_budget[lim]
         u = 1.0 - k * e_x / e_b
         gain = 1.0 + w * u
-        c = bits[lim] * sc.sigma2 * _LN2 / (sc.h[lim] * e_b * sc.B)
-        s = bits[lim] * _LN2 / (sc.B * t)
-        dw = -w * w * u * (c - s * w)
-        du = k**2 * e_x * sc.E[lim] / e_b**2
-        d_uplink, dd_uplink = t_uplink.copy(), t_uplink.copy()
-        d_uplink[lim] = t * gain
-        dd_uplink[lim] = t * (gain * gain + dw * u + w * du)
-    t_local, t_remote = _t_local(sc, powers[0], f_local), _t_remote(sc, powers[1], f_remote)
-    slope = -sc.k * t_local + (1.0 - sc.p) * t_remote + d_uplink
-    slope = np.where(np.isinf(t_uplink), np.where(b < incumbent, -np.inf, np.inf), slope)
-    return slope, sc.k**2 * t_local + (1.0 - sc.p) ** 2 * t_remote + dd_uplink
+        if curvature:
+            c = bits[lim] * sc.sigma2 * _LN2 / (sc.h[lim] * e_b * sc.B)
+            s = bits[lim] * _LN2 / (sc.B * t)
+            dw = -w * w * u * (c - s * w)
+            du = k**2 * e_x * sc.E[lim] / e_b**2
+            dd_uplink = t_uplink.copy()
+            dd_uplink[lim] = t * (gain * gain + dw * u + w * du)
+        t_uplink[lim] = t * gain
+    del e_extract, e_budget, w, bits
+    t_local = _t_local(sc, beta_k, f_local)
+    t_remote = _t_remote(_remote_cycles(sc, beta_1mp), f_remote)
+    dd = None
+    if curvature:
+        dd = sc.k**2
+        dd *= t_local
+        term = sc.q**2
+        term *= t_remote
+        dd += term
+        dd += dd_uplink
+    # -k*t_local + (1 - p)*t_remote, written as a difference, which rounds the same
+    slope = np.subtract(np.multiply(sc.q, t_remote, out=t_remote),
+                        np.multiply(sc.k, t_local, out=t_local), out=t_remote)
+    slope += t_uplink
+    if barrier.any():
+        slope = np.where(barrier, np.where(b < incumbent, -np.inf, np.inf), slope)
+    return slope, dd
 
 
 def _refine_block(sc: _Scenario, beta, f_local, f_remote) -> np.ndarray:
@@ -400,15 +453,16 @@ def _refine_block(sc: _Scenario, beta, f_local, f_remote) -> np.ndarray:
     ulps, its bracket closes or its slope is 0, and takes its last probe of
     finite slope, which is feasible.
     """
-    slope_hi = _factor_slope(sc, 1.0, (1.0, 1.0), f_local, f_remote, beta)[0]
+    at_ceiling = _factor_slope(sc, 1.0, None, f_local, f_remote, beta, curvature=False)[0] <= 0
     # at-end lanes take their end exactly; devices without work, of zero slope, take 1
-    beta_new = np.where(slope_hi <= 0, 1.0, sc.beta_min)
-    idx = np.flatnonzero(~(slope_hi <= 0))
+    beta_new = np.where(at_ceiling, 1.0, sc.beta_min)
+    idx = np.flatnonzero(~at_ceiling)
     if idx.size == 0:
         return beta_new
     sub, fl, fr, inc = sc.take(idx), f_local[idx], f_remote[idx], beta[idx]
-    slope_lo = _factor_slope(sub, sub.beta_min, _powers(sub, sub.beta_min), fl, fr, inc)[0]
-    interior = np.flatnonzero(~(slope_lo >= 0))
+    slope = _factor_slope(sub, sub.beta_min, _powers(sub, sub.beta_min), fl, fr, inc,
+                          curvature=False)[0]
+    interior = np.flatnonzero(~(slope >= 0))
     if interior.size == 0:
         return beta_new
     if interior.size < idx.size:
@@ -536,9 +590,10 @@ def remote_rate_bisection(tds: Sequence[TerminalDevice], beta: Sequence[float],
     Newton solve, which has no tolerance to set.
     """
     sc = _Scenario(tds, cfg)
-    return _remote_block(sc, _powers(sc, _input_column("beta", beta, sc.n)),
-                         _input_column("f_local", f_local, sc.n),
-                         _input_column("t_transmit", t_transmit, sc.n))
+    beta_k, beta_1mp = _powers(sc, _input_column("beta", beta, sc.n))
+    start = _t_local(sc, beta_k, _input_column("f_local", f_local, sc.n))
+    start += _input_column("t_transmit", t_transmit, sc.n)
+    return _remote_block(sc, _remote_cycles(sc, beta_1mp), start)
 
 
 def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit: float,
@@ -556,29 +611,37 @@ def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit
         _check_input(name, value)
     if td.task_bits == 0:
         return 1.0
-    sc = _Scenario([td], cfg)
-    beta = _beta_closed_form(sc, np.array([f_local]), np.array([f_remote]),
-                             np.array([t_transmit]), np.array([e_transmit]))
+    table = DeviceTable.from_devices([td])
+    a, _, p = table.semantic_constants(cfg)
+    beta = _beta_closed_form(_Scenario(table, cfg), a, p, np.array([f_local]),
+                             np.array([f_remote]), np.array([t_transmit]),
+                             np.array([e_transmit]))
     return float(beta[0])
 
 
-def _split_server(sc: _Scenario, beta, powers, f_local, t_transmit,
+def _split_server(sc: _Scenario, beta, beta_k, f_local, t_transmit,
                   e_transmit) -> Allocation:
     # completes the allocation, with its objective as the epigraph value:
-    # devices without work have zero delay, and every other a positive one
-    _, f_remote = _remote_block(sc, powers, f_local, t_transmit)
-    return Allocation(f_local, f_remote, t_transmit, e_transmit, beta,
-                      float(_delays(sc, powers, f_local, t_transmit, f_remote).max()))
+    # devices without work have zero delay, and every other a positive one.
+    # The start of each device's remote work overwrites beta_k, which the
+    # callers read no more, and beta**(1 - p) lives only to give the cycles
+    start = _t_local(sc, beta_k, f_local, out=beta_k)
+    start += t_transmit
+    cycles = _remote_cycles(sc, beta**sc.q)
+    _, f_remote = _remote_block(sc, cycles, start)
+    delays = _t_remote(cycles, f_remote)
+    delays += start
+    return Allocation(f_local, f_remote, t_transmit, e_transmit, beta, float(delays.max()))
 
 
 def _rate_block(sc: _Scenario, beta, f_local) -> Allocation:
     """The allocation at a new factor: the minimal uplink at the incumbent
-    local rate, the new local rate, and the server split, all from one
-    computation of the factor's powers."""
-    powers = _powers(sc, beta)
-    t_transmit, e_transmit = _transmit_block(sc, beta, powers[0], f_local)
-    f_local = _local_rate_block(sc, powers[0], e_transmit, f_local)
-    return _split_server(sc, beta, powers, f_local, t_transmit, e_transmit)
+    local rate, the new local rate, and the server split, computing each of
+    the factor's powers once."""
+    beta_k = beta**sc.k
+    t_transmit, e_transmit = _transmit_block(sc, beta, beta_k, f_local)
+    f_local = _local_rate_block(sc, beta_k, e_transmit, f_local)
+    return _split_server(sc, beta, beta_k, f_local, t_transmit, e_transmit)
 
 
 def _report(sc: _Scenario, alloc: Allocation, trace: List[float], iterations: int,
@@ -596,10 +659,9 @@ def _start(sc: _Scenario) -> Allocation:
     with np.errstate(divide="ignore", over="ignore"):
         m = sc.A * sc.sigma2 * _LN2 / (sc.h * sc.B)
         beta = np.clip(sc.E / (2.0 * m), sc.beta_min, 1.0)
-    powers = _powers(sc, beta)
-    f_local = _local_rate_block(sc, powers[0], np.minimum(0.5 * (sc.E + beta * m), sc.E))
-    return _split_server(sc, beta, powers, f_local,
-                         *_transmit_block(sc, beta, powers[0], f_local))
+    beta_k = beta**sc.k
+    f_local = _local_rate_block(sc, beta_k, np.minimum(0.5 * (sc.E + beta * m), sc.E))
+    return _split_server(sc, beta, beta_k, f_local, *_transmit_block(sc, beta, beta_k, f_local))
 
 
 def _at_start(sc: _Scenario) -> SolverReport:
@@ -684,5 +746,5 @@ def delay_breakdown(tds: Sequence[TerminalDevice], alloc: Allocation, cfg: Syste
     beta_k, beta_1mp = _powers(sc, beta)
     t_local = _t_local(sc, beta_k, f_local)
     t_transmit = np.where(sc.active, alloc.t_transmit, 0.0)
-    t_remote = _t_remote(sc, beta_1mp, alloc.f_remote)
+    t_remote = _t_remote(_remote_cycles(sc, beta_1mp), alloc.f_remote)
     return np.stack([t_local, t_transmit, t_remote, t_local + t_transmit + t_remote], axis=1)

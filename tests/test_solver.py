@@ -495,7 +495,8 @@ class TestRefineBlock:
             beta = b * np.exp(x)
             beta_k, beta_1mp = _powers(sc, beta)
             t, _ = _uplink(sc, beta * sc.A, sc.E - _extraction_energy(sc, beta_k, f_local))
-            return _t_local(sc, beta_k, f_local) + t + _t_remote(sc, beta_1mp, f_remote)
+            return (_t_local(sc, beta_k, f_local) + t
+                    + _t_remote(_remote_cycles(sc, beta_1mp), f_remote))
 
         # fourth-order central differences in ln(factor)
         h = 1e-3
@@ -512,9 +513,9 @@ class TestRefineBlock:
                                                                    monkeypatch):
         probes = []
 
-        def recording(sc, b, powers, f_local, f_remote, incumbent):
+        def recording(sc, b, powers, f_local, f_remote, incumbent, curvature=True):
             probes.append((b, sc.n, f_remote))
-            return _factor_slope(sc, b, powers, f_local, f_remote, incumbent)
+            return _factor_slope(sc, b, powers, f_local, f_remote, incumbent, curvature)
 
         monkeypatch.setattr(solver_module, "_factor_slope", recording)
         # every semantic device of the reference scenario ends at 1: one probe
@@ -569,19 +570,84 @@ class TestClosedForms:
         tds, cfg = draw
         n = len(tds)
         sc = _Scenario(tds, cfg)
+        a, k, p = DeviceTable.from_devices(tds).semantic_constants(cfg)
 
         def column(strategy):
             return np.array(data.draw(st.lists(strategy, min_size=n, max_size=n)))
 
         beta = sc.beta_min ** column(st.floats(0.0, 1.0))
         f_local, f_remote = column(log_uniform(1e5, 2e9)), column(log_uniform(1e6, 3e10))
-        for powers, b in ((_powers(sc, beta), beta), ((1.0, 1.0), np.ones(n))):
+        for powers, b in ((_powers(sc, beta), beta), ((1.0, 1.0), np.ones(n)),
+                          ((None, None), np.ones(n))):
             closed = (_extraction_energy(sc, powers[0], f_local), _t_local(sc, powers[0], f_local),
-                      _t_remote(sc, powers[1], f_remote))
-            direct = (sc.a * sc.A * sc.kappa * f_local**2 / b**sc.k,
-                      sc.a * sc.A / (b**sc.k * f_local), sc.A * sc.I * b ** (1.0 - sc.p) / f_remote)
+                      _t_remote(_remote_cycles(sc, powers[1]), f_remote))
+            direct = (a * sc.A * sc.kappa * f_local**2 / b**k,
+                      a * sc.A / (b**k * f_local), sc.A * sc.I * b ** (1.0 - p) / f_remote)
             for ours, theirs in zip(closed, direct):
                 assert ours.tobytes() == theirs.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_box_draws(max_n=8), st.data())
+    def test_products_match_direct_expressions(self, draw, data):
+        # each device's products are computed once, in the order the closed
+        # forms used to compute them; take gathers them, and the raw upload
+        # reads a = 0 and p = 1
+        tds, cfg = draw
+        n = len(tds)
+        table = DeviceTable.from_devices(tds)
+        a, _, p = table.semantic_constants(cfg)
+        idx = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        sc = _Scenario(tds, cfg)
+        raw = _Scenario(tds, cfg, extraction=False)
+        for ours, a, p, lanes in ((sc, a, p, slice(None)), (sc.take(idx), a, p, idx),
+                                  (raw, np.zeros(n), np.ones(n), slice(None))):
+            A = table.task_bits
+            direct = {"extract_cycles": a * A, "extract_coeff": a * A * table.energy_coeff,
+                      "raw_cycles": A * table.intensity, "q": 1.0 - p}
+            for name, value in direct.items():
+                assert getattr(ours, name).tobytes() == value[lanes].tobytes(), name
+
+
+class TestSlopeProbes:
+    """The end probes of the factor search compute only what it reads: no
+    curvature, and at the ceiling no powers."""
+
+    @staticmethod
+    def _point(draw, data):
+        tds, cfg = draw
+        n = len(tds)
+        sc = _Scenario(tds, cfg)
+
+        def column(strategy):
+            return np.array(data.draw(st.lists(strategy, min_size=n, max_size=n)))
+
+        # local rates up to the box's cap mix peak-power, energy-limited and
+        # unserved lanes
+        f_local, f_remote = column(log_uniform(1e5, 2e9)), column(log_uniform(1e6, 3e10))
+        b = sc.beta_min ** column(st.floats(0.0, 1.0))
+        incumbent = sc.beta_min ** column(st.floats(0.0, 1.0))
+        return sc, b, f_local, f_remote, incumbent
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_box_draws(max_n=8), st.data())
+    def test_ceiling_probe_matches_general_probe_at_unit_powers(self, draw, data):
+        sc, _, f_local, f_remote, incumbent = self._point(draw, data)
+        general = _factor_slope(sc, 1.0, (1.0, 1.0), f_local, f_remote, incumbent)
+        ceiling = _factor_slope(sc, 1.0, None, f_local, f_remote, incumbent)
+        slope_only = _factor_slope(sc, 1.0, None, f_local, f_remote, incumbent, curvature=False)
+        assert ceiling[0].tobytes() == general[0].tobytes()
+        assert ceiling[1].tobytes() == general[1].tobytes()
+        assert slope_only[0].tobytes() == general[0].tobytes() and slope_only[1] is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_box_draws(max_n=8), st.data())
+    def test_slope_only_probe_matches_full_probe(self, draw, data):
+        sc, b, f_local, f_remote, incumbent = self._point(draw, data)
+        slope, curvature = _factor_slope(sc, b, _powers(sc, b), f_local, f_remote, incumbent,
+                                         curvature=False)
+        full = _factor_slope(sc, b, _powers(sc, b), f_local, f_remote, incumbent)
+        assert curvature is None and full[1] is not None
+        assert slope.tobytes() == full[0].tobytes()
 
 
 class TestLaneIndependence:
