@@ -33,6 +33,8 @@ from .solver import FeasibilityCause, FeasibilityError
 __all__ = ["GridSpec", "default_grid_bounds", "grid_optimum", "perturbation_certify"]
 
 _AXES = ("beta", "f_local", "t_transmit", "e_transmit")
+# rates read log2(1 + x) as log1p(x)/ln 2, which keeps the digits of a low SNR
+_LN2 = math.log(2.0)
 _N2_RESOLUTION_CAP = 32
 _N2_SPLITS = 31  # k/32 for k=1..31, keeping the even split on the grid
 
@@ -69,7 +71,7 @@ def default_grid_bounds(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> Dic
     t_caps = []
     t_floors = []
     for td in active:
-        r_full = cfg.bandwidth_hz * math.log2(1.0 + td.channel_gain * td.p_tx_max / sigma2)
+        r_full = cfg.bandwidth_hz * math.log1p(td.channel_gain * td.p_tx_max / sigma2) / _LN2
         t_raw = td.task_bits / r_full
         t_floors.append(0.95 * td.beta_min * t_raw)
         # widen when the peak-power upload does not fit the energy budget
@@ -114,8 +116,8 @@ def _best_single(td: TerminalDevice, cfg: SystemConfig, f_share: float,
     positive_t = times > 0
     if np.any(positive_t):
         t_col = times[positive_t][:, None]
-        bits_cap[positive_t, :] = t_col * cfg.bandwidth_hz * np.log2(
-            1.0 + td.channel_gain * energies[None, :] / (t_col * sigma2))
+        bits_cap[positive_t, :] = t_col * cfg.bandwidth_hz * np.log1p(
+            td.channel_gain * energies[None, :] / (t_col * sigma2)) / _LN2
     power_ok = energies[None, :] <= td.p_tx_max * times[:, None]
 
     A, intensity = td.task_bits, td.intensity
@@ -254,9 +256,9 @@ class _DeviceArrays:
         ok = e_extract + e <= self.energy_budget[slot] * (1 + tol)
         sends = t > 0
         t = np.where(sends, t, 1.0)
-        snr = 1.0 + self.channel_gain[slot] * e / (t * self.noise_power_w)
-        cap = t * self.bandwidth_hz * np.log2(snr, out=np.full_like(snr, -np.inf),
-                                              where=snr > 0)
+        snr = self.channel_gain[slot] * e / (t * self.noise_power_w)
+        cap = t * self.bandwidth_hz * np.log1p(snr, out=np.full_like(snr, -np.inf),
+                                               where=snr > -1.0) / _LN2
         return ok & sends & (cap >= beta * self.task_bits[slot] * (1 - tol))
 
     def delay(self, beta, f_local, f_remote, t, slot=slice(None)) -> np.ndarray:

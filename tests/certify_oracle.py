@@ -44,8 +44,8 @@ def _feasible(alloc_vectors, tds: Sequence[TerminalDevice], cfg: SystemConfig,
         bits = beta[i] * td.task_bits
         if t_transmit[i] <= 0:
             return False
-        cap = t_transmit[i] * cfg.bandwidth_hz * math.log2(
-            1.0 + td.channel_gain * e_transmit[i] / (t_transmit[i] * sigma2))
+        cap = t_transmit[i] * cfg.bandwidth_hz * math.log1p(
+            td.channel_gain * e_transmit[i] / (t_transmit[i] * sigma2)) / math.log(2.0)
         if cap < bits * (1 - tol):
             return False
     return total_remote <= cfg.f_mec_total * (1 + tol)

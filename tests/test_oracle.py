@@ -148,6 +148,47 @@ class TestGridOptimum:
             grid_optimum(tds, SystemConfig(), GridSpec(16, bounds))
 
 
+# solve's answers to these draws of ROADMAP item 1's fuzz at 4 and 8 decades
+# carry a device at an SNR low enough that log2(1 + x) rounds away more of
+# the rate than the certificate's 1e-9 base tolerance
+_LOW_SNR_DRAWS = {
+    "four_decades": (
+        [TerminalDevice(task_bits=95228188545.06824, intensity=0.02383038709907602,
+                        energy_coeff=6.556994067379776e-29, f_local_max=86546276817.82654,
+                        p_tx_max=14232.508833925198, beta_min=1.7194179509462638e-05,
+                        energy_budget=6.55194818395876e-06, channel_gain=1.144205382673495e-09,
+                        sem_k=4.95920679793627, sem_p=1.5),
+         TerminalDevice(task_bits=817847.6903406616, intensity=0.6193819357425147,
+                        energy_coeff=6.673267756863654e-23, f_local_max=53376150425.06899,
+                        p_tx_max=0.0002392442935577857, beta_min=0.009893522220486051,
+                        energy_budget=10.690924683531327, channel_gain=5.8600050730440945e-12,
+                        sem_k=2.243236540807442, sem_p=0.5),
+         TerminalDevice(task_bits=13358281.607777072, intensity=25989.096499721098,
+                        energy_coeff=2.826158487593762e-23, f_local_max=1642200176.1193876,
+                        p_tx_max=242.44806087978807, beta_min=1.527080750912651e-05,
+                        energy_budget=6248.79617449224, channel_gain=1.2478223162967276e-14,
+                        sem_k=3.27362941937737, sem_p=0.8)],
+        SystemConfig(f_mec_total=10395316266888.84, sem_a=0.007691261634534012)),
+    "eight_decades": (
+        [TerminalDevice(task_bits=0.07291522001740686, intensity=1915.4106174085302,
+                        energy_coeff=3.351767556178277e-19, f_local_max=65941910157.05021,
+                        p_tx_max=44902995.99993228, beta_min=0.763905810124253,
+                        energy_budget=5351.6921332986485, channel_gain=3.5493066387407188e-09,
+                        sem_k=2.4025965029559027, sem_p=0.8),
+         TerminalDevice(task_bits=59.7174039823959, intensity=108.87824186754635,
+                        energy_coeff=8.085090237597013e-27, f_local_max=110061356696022.48,
+                        p_tx_max=0.005942166544602538, beta_min=2.0798300358948437e-05,
+                        energy_budget=5.078652513956248e-08, channel_gain=1.1917154516076763e-12,
+                        sem_k=4.930723029765002, sem_p=0.5),
+         TerminalDevice(task_bits=2851318138.4724646, intensity=13381.008860666989,
+                        energy_coeff=1.3455391899012733e-31, f_local_max=855287536.166305,
+                        p_tx_max=506.51166867513064, beta_min=7.781925051645661e-05,
+                        energy_budget=2.7186104076851923e-06, channel_gain=2.9553851006575143e-08,
+                        sem_k=3.000739789656576, sem_p=3.0)],
+        SystemConfig(f_mec_total=333382723.34331214, sem_a=276.2875944734765)),
+}
+
+
 class TestPerturbationCertify:
     def test_solver_output_certifies(self, reference_single):
         report = solve(reference_single.devices, reference_single.system)
@@ -217,6 +258,12 @@ class TestPerturbationCertify:
         bad = Allocation([1e9], [2 * cfg.f_mec_total], [0.1], [0.1], [0.8], 1.0)
         with pytest.raises(ValueError):
             perturbation_certify(bad, reference_single.devices, cfg, n_probes=10, step=1e-3)
+
+    @pytest.mark.parametrize("draw", _LOW_SNR_DRAWS.values(), ids=_LOW_SNR_DRAWS.keys())
+    def test_solve_answer_at_low_snr_is_feasible(self, draw):
+        tds, cfg = draw
+        alloc = solve(tds, cfg).allocation
+        assert isinstance(perturbation_certify(alloc, tds, cfg, n_probes=20, step=1e-3), bool)
 
     def test_large_n_few_probes_memory(self):
         # the probes are built and checked in bounded blocks, so two probes at
