@@ -362,8 +362,11 @@ def _remote_block(sc: _Scenario, cycles: np.ndarray,
 def _beta_closed_form(sc: _Scenario, a, p, f_local, f_remote, t_transmit,
                       e_transmit) -> np.ndarray:
     # only for devices with task bits, as its single caller ensures; the
-    # stationary point reads the semantic constants a and p themselves
+    # stationary point reads the semantic constants a and p themselves. A
+    # remainder of 0 is an extraction energy below half an ulp of E, which
+    # rounding hid from e_transmit = E - e_extract: it reads as that half ulp
     remaining = sc.E - e_transmit
+    remaining = np.where(remaining == 0, 0.5 * np.spacing(sc.E), remaining)
     with np.errstate(divide="ignore", invalid="ignore"):
         eta1 = np.maximum(
             sc.beta_min,
@@ -375,7 +378,7 @@ def _beta_closed_form(sc: _Scenario, a, p, f_local, f_remote, t_transmit,
     # spends E minus the extraction energy, as solve's does, and eta1 carries 1/k
     # of its relative error; the slack covers that twice over
     slack = 1e-12 + np.spacing(sc.E) / (sc.k * np.maximum(remaining, np.spacing(sc.E)))
-    empty = (remaining <= 0) | (eta1 > eta2 * (1.0 + slack) + 1e-300)
+    empty = (remaining < 0) | (eta1 > eta2 * (1.0 + slack) + 1e-300)
     if np.any(empty):
         raise FeasibilityError(int(np.argmax(empty)), FeasibilityCause.INVALID_SCENARIO,
                                "empty extraction-factor interval")

@@ -367,6 +367,16 @@ _ROUNDED_REMAINDER = {
         SystemConfig(f_mec_total=25.142367110289847, sem_a=0.05236536500864355)),
 }
 
+# item 1's fuzz at four decades, draw 237: solve's uplink leaves less than half
+# an ulp of the budget to extraction, so E - e_transmit is 0 in float
+_ZERO_REMAINDER = (
+    [TerminalDevice(task_bits=140495418.24634877, intensity=506372.0110486334,
+                    energy_coeff=1.8128899765216067e-31, f_local_max=79172.38098769907,
+                    p_tx_max=306.8752614022486, beta_min=0.102873078880431,
+                    energy_budget=151.07627346421748, channel_gain=1.1929365952546956e-13,
+                    sem_k=1.4067867463438222, sem_p=0.8)],
+    SystemConfig(f_mec_total=3060061011.686227, sem_a=0.0003447832061830656))
+
 
 class TestOptimalBeta:
     def test_reference_constants_take_upper_end(self):
@@ -418,6 +428,23 @@ class TestOptimalBeta:
         beta = optimal_beta(tds[0], alloc.f_local[0], alloc.f_remote[0], alloc.t_transmit[0],
                             alloc.e_transmit[0], cfg)
         assert tds[0].beta_min <= beta <= 1.0
+
+    def test_accepts_solve_answer_whose_remaining_energy_rounds_to_zero(self):
+        tds, cfg = _ZERO_REMAINDER
+        alloc = solve(tds, cfg).allocation
+        assert tds[0].energy_budget - alloc.e_transmit[0] == 0
+        beta = optimal_beta(tds[0], alloc.f_local[0], alloc.f_remote[0], alloc.t_transmit[0],
+                            alloc.e_transmit[0], cfg)
+        assert tds[0].beta_min <= beta <= 1.0
+
+    def test_negative_remaining_energy_raises(self):
+        # one ulp above the budget leaves extraction a negative remainder
+        tds, cfg = _ZERO_REMAINDER
+        alloc = solve(tds, cfg).allocation
+        with pytest.raises(FeasibilityError) as err:
+            optimal_beta(tds[0], alloc.f_local[0], alloc.f_remote[0], alloc.t_transmit[0],
+                         np.nextafter(tds[0].energy_budget, math.inf), cfg)
+        assert err.value.cause is FeasibilityCause.INVALID_SCENARIO
 
     def test_matches_fine_grid_across_exponents(self):
         rng = np.random.default_rng(7)
