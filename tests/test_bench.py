@@ -464,3 +464,11 @@ class TestPerfbenchScenarios:
             small = replace(workload, n=3)
             scenario = scenario_from_dict(workloads.scenario_doc(small, seed=0))
             assert len(scenario.devices) == 3
+
+    @pytest.mark.parametrize("name, objective", [("energy-n1k", "0x1.dc2c0c7c218cfp-2"),
+                                                 ("power-n100k", "0x1.9b74abe0b5ac4p-2")])
+    def test_seed0_objectives_stay_bit_identical(self, name, objective):
+        # a performance change must not move the benchmark's objectives by a bit
+        workloads = load_perfbench("workloads")
+        scenario = scenario_from_dict(workloads.scenario_doc(workloads.WORKLOADS[name], seed=0))
+        assert solve(scenario.devices, scenario.system).allocation.t_epigraph.hex() == objective
