@@ -21,9 +21,13 @@ exact block solves converges monotonically. One outer iteration runs:
    float; then monotone Newton on the delay cap that splits the server
    capacity so every active device finishes at the same time.
 
-The closed forms take the factor's powers beta**k and beta**(1 - p), which
-:func:`_powers` computes once per factor: per slope probe (none at 1, where
-both are exactly 1), and once for the three steps of the rate block.
+Each device's constant products, a*A, (a*A)*kappa, A*I and 1 - p, are
+computed once per solve, when the scenario's arrays are built. The closed
+forms take the factor's powers beta**k and beta**(1 - p), each computed once
+per factor: per slope probe (none at 1, where both are exactly 1), and once
+for the steps of the rate block. The slope probes at the ends of the factor
+interval compute the slope alone; only the Newton probes compute the
+curvature.
 
 The raw-upload baseline is the loop's start point without extraction, and
 the retained-extraction baseline is the loop with every factor floor at 1.
