@@ -6,8 +6,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .closed_forms import _Scenario
 from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice
-from .solver import SolverReport, _at_start, _Scenario, solve
+from .solver import SolverReport, _at_start, solve
 
 __all__ = ["solve_no_semantic", "solve_local_only"]
 
