@@ -147,6 +147,83 @@ class TestGridOptimum:
         with pytest.raises(ValueError):
             grid_optimum(tds, SystemConfig(), GridSpec(16, bounds))
 
+    @pytest.mark.xfail(strict=True, raises=FeasibilityError,
+                       reason="ROADMAP item 3: the default t bound stops at 8x the raw "
+                       "peak-power time, so the grid misses deeply energy-limited devices")
+    def test_grid_covers_a_deeply_energy_limited_device(self):
+        """``solve`` answers 13.539 s with a 13.25 s uplink, and the answer
+        certifies at 200 probes; the default t bound stops at 3.09 s, so the
+        grid has no feasible point at 64 or at 256 points per axis."""
+        td = TerminalDevice(
+            task_bits=3525980.751369161, intensity=606.8648674690751,
+            energy_coeff=3.548079037509411e-26, f_local_max=919807683.3502135,
+            p_tx_max=1.8710133523970576, beta_min=0.9415872857018002,
+            energy_budget=0.008775537760127234, channel_gain=1.188019741585188e-12,
+            sem_k=3.9084914531597064, sem_p=0.5)
+        cfg = SystemConfig(f_mec_total=7195767500.110891, sem_a=0.002642184485463475)
+        solved = solve([td], cfg).objective_trace[-1]
+        for resolution in (64, 256):
+            grid_obj, _ = grid_optimum([td], cfg,
+                                       GridSpec(resolution, default_grid_bounds([td], cfg)))
+            assert solved <= grid_obj * (1 + 1e-3)
+
+
+def _pinned_grids():
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        td, cfg = single_device_draw(rng)
+        yield f"power_limited_{i}", (td,), cfg, 64
+    rng = np.random.default_rng(6)
+    for i in range(2):
+        tds, cfg = multi_device_draw(rng, n=2)
+        yield f"pair_{i}", tds, cfg, 32
+    # draws from ROADMAP item 1's fuzz box (default_rng(99)) whose
+    # peak-power upload does not fit the energy budget
+    for i, (td, f_mec_total, sem_a) in enumerate([
+            (TerminalDevice(task_bits=4048596.7140523563, intensity=123.4420343617482,
+                            energy_coeff=8.797772840904383e-26, f_local_max=963263996.6527044,
+                            p_tx_max=0.5487239002980396, beta_min=0.1180560187228379,
+                            energy_budget=0.0627537632665171, channel_gain=6.177651300247233e-11,
+                            sem_k=2.87009410220361, sem_p=0.5),
+             23679710558.274834, 9.628120888978649e-06),
+            (TerminalDevice(task_bits=1816688.875512408, intensity=52.281488153564965,
+                            energy_coeff=5.0122173888118374e-27, f_local_max=1772103489.4183967,
+                            p_tx_max=0.3101977902343936, beta_min=0.5091102737441108,
+                            energy_budget=0.002573473856217692, channel_gain=4.796157636493483e-10,
+                            sem_k=2.194622383538243, sem_p=1.5),
+             10909687635.32127, 6.441848152667706e-05),
+            (TerminalDevice(task_bits=2224955.441141846, intensity=183.58988501200616,
+                            energy_coeff=1.4816971004554764e-26, f_local_max=934869811.231338,
+                            p_tx_max=0.7129625285506895, beta_min=0.23129337769175415,
+                            energy_budget=0.006664473436390878, channel_gain=1.129923583491907e-12,
+                            sem_k=1.2758695288445523, sem_p=0.5),
+             1382328822.2184424, 2.834767639942102e-06)]):
+        yield f"energy_limited_{i}", (td,), SystemConfig(f_mec_total=f_mec_total, sem_a=sem_a), 64
+    tds, cfg = multi_device_draw(np.random.default_rng(7), n=2)
+    yield "pair_with_idle_device", (tds[0], replace(tds[1], task_bits=0.0)), cfg, 32
+
+
+_GRID_PINS = {
+    "power_limited_0": "0x1.a26e5d2f4e8e8p-3",
+    "power_limited_1": "0x1.f6f83efb35c41p-3",
+    "power_limited_2": "0x1.59d58670f0c02p-3",
+    "pair_0": "0x1.9c23b181b3798p-3",
+    "pair_1": "0x1.46c66372f90cbp-3",
+    "energy_limited_0": "0x1.4b425768747e1p-4",
+    "energy_limited_1": "0x1.91b557e5bb55ap-4",
+    "energy_limited_2": "0x1.1c33f904d92afp-2",
+    "pair_with_idle_device": "0x1.24eac52c40061p-2",
+}
+
+
+@pytest.mark.parametrize("tds,cfg,resolution,pin", [
+    pytest.param(tds, cfg, resolution, _GRID_PINS[name], id=name)
+    for name, tds, cfg, resolution in _pinned_grids()])
+def test_grid_objective_stays_bit_identical(tds, cfg, resolution, pin):
+    obj, alloc = grid_optimum(tds, cfg, GridSpec(resolution, default_grid_bounds(tds, cfg)))
+    assert float(obj).hex() == pin
+    assert alloc.t_epigraph == obj
+
 
 # solve's answers to these draws of ROADMAP item 1's fuzz at 4 and 8 decades
 # carry a device at an SNR low enough that log2(1 + x) rounds away more of
