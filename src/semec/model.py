@@ -2,7 +2,7 @@
 
 Holds the per-device and system-wide parameter types, the allocation type,
 and channel gain synthesis from distances. The delay and energy closed forms
-of the compute-then-transmit protocol live in :mod:`semec.solver`.
+of the compute-then-transmit protocol live in :mod:`semec.closed_forms`.
 
 Unit conventions are fixed and nothing auto-converts: bits, Hz, seconds,
 joules, watts, CPU cycles, and dimensionless linear power gains.
@@ -26,7 +26,6 @@ __all__ = [
     "SystemConfig",
     "Allocation",
     "generate_channel_gains",
-    "semantic_constants",
 ]
 
 _DBM_PER_WATT = 30.0
@@ -352,11 +351,3 @@ def generate_channel_gains(
     if not np.all((0.0 < gains) & (gains < math.inf)):
         raise ValueError("distances must give finite and positive channel gains")
     return gains
-
-
-def semantic_constants(td: TerminalDevice, cfg: SystemConfig) -> tuple[float, float, float]:
-    """Effective (a, k, p) for a device, honoring per-device overrides."""
-    a = cfg.sem_a if td.sem_a is None else td.sem_a
-    k = cfg.sem_k if td.sem_k is None else td.sem_k
-    p = cfg.sem_p if td.sem_p is None else td.sem_p
-    return a, k, p

@@ -5,16 +5,21 @@ for one- and two-device instances, and a random feasible-perturbation check
 that certifies first-order optimality of a given allocation. Both evaluate
 constraints from the raw closed forms, never through solver shortcuts.
 
-The perturbation check reads the device parameters from the device table.
-Its verdict is an OR over the probes, so it may evaluate them in any order
-and stop at the first group that holds a feasible improving probe; it gives
-the answer of a probe-by-probe loop. It evaluates the probes that move every
-device first, then those that move one device (from that device's moved
-point and the base's per-device checks and delays, in O(1) per probe), then
-the isotropic draws. Dense probes go in blocks of bounded size, and each
-block computes its factor coordinates first and builds in full only the rows
-whose factors stay in their box. A direction set that fits in one block is
-cached read-only, so the cells of a sweep draw it once.
+Both read the devices through one device view, taken from the device table,
+which holds the oracle's own copy of each closed form. The grid finds each
+device's least local-plus-uplink time once per grid factor; a server split
+then only adds the remote time.
+
+The perturbation check's verdict is an OR over the probes, so it may
+evaluate them in any order and stop at the first group that holds a feasible
+improving probe; it gives the answer of a probe-by-probe loop. It evaluates
+the probes that move every device first, then those that move one device
+(from that device's moved point and the base's per-device checks and delays,
+in O(1) per probe), then the isotropic draws. Dense probes go in blocks of
+bounded size, and each block computes its factor coordinates first and
+builds in full only the rows whose factors stay in their box. A direction
+set that fits in one block is cached read-only, so the cells of a sweep draw
+it once.
 """
 
 from __future__ import annotations
@@ -23,16 +28,17 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice, semantic_constants
+from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice
 from .solver import FeasibilityCause, FeasibilityError
 
 __all__ = ["GridSpec", "default_grid_bounds", "grid_optimum", "perturbation_certify"]
 
 _AXES = ("beta", "f_local", "t_transmit", "e_transmit")
+_GEOMETRIC = ("beta", "f_local")
 # rates read log2(1 + x) as log1p(x)/ln 2, which keeps the digits of a low SNR
 _LN2 = math.log(2.0)
 _N2_RESOLUTION_CAP = 32
@@ -62,150 +68,12 @@ class GridSpec:
                 raise ValueError(f"bounds for {name} must be finite and ordered")
 
 
-def default_grid_bounds(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> Dict[str, Tuple[float, float]]:
-    """Reasonable bounds around the feasible region, from raw formulas only."""
-    active = [td for td in tds if td.task_bits > 0]
-    if not active:
-        raise ValueError("default bounds need at least one device with work")
-    sigma2 = cfg.noise_power_w
-    t_caps = []
-    t_floors = []
-    for td in active:
-        r_full = cfg.bandwidth_hz * math.log1p(td.channel_gain * td.p_tx_max / sigma2) / _LN2
-        t_raw = td.task_bits / r_full
-        t_floors.append(0.95 * td.beta_min * t_raw)
-        # widen when the peak-power upload does not fit the energy budget
-        factor = 1.05 if td.p_tx_max * t_raw <= td.energy_budget else 8.0
-        t_caps.append(factor * t_raw)
-    t_hi = max(t_caps)
-    e_caps = [min(td.energy_budget, td.p_tx_max * t_hi) for td in active]
-    f_hi = max(td.f_local_max for td in active)
-    return {
-        "beta": (min(td.beta_min for td in active), 1.0),
-        "f_local": (f_hi * 1e-3, f_hi),
-        "t_transmit": (min(t_floors), t_hi),
-        "e_transmit": (0.0, max(e_caps)),
-    }
-
-
-def _axis(lo: float, hi: float, resolution: int, geometric: bool) -> np.ndarray:
-    if lo == hi:
-        return np.array([lo], dtype=float)
-    if geometric:
-        if lo <= 0:
-            raise ValueError("geometric axes need positive bounds")
-        return np.geomspace(lo, hi, resolution)
-    return np.linspace(lo, hi, resolution)
-
-
-def _best_single(td: TerminalDevice, cfg: SystemConfig, f_share: float,
-                 grid: GridSpec, resolution: int) -> Optional[Tuple[float, Tuple[float, float, float, float]]]:
-    """Best feasible grid point for one device with a fixed server share."""
-    a, k, p = semantic_constants(td, cfg)
-    if td.task_bits == 0:
-        fl = grid.variable_bounds["f_local"][1]
-        return 0.0, (1.0, fl, 0.0, 0.0)
-
-    betas = _axis(*grid.variable_bounds["beta"], resolution, geometric=True)
-    f_loc = _axis(*grid.variable_bounds["f_local"], resolution, geometric=True)
-    times = _axis(*grid.variable_bounds["t_transmit"], resolution, geometric=False)
-    energies = _axis(*grid.variable_bounds["e_transmit"], resolution, geometric=False)
-
-    sigma2 = cfg.noise_power_w
-    bits_cap = np.zeros((times.size, energies.size))
-    positive_t = times > 0
-    if np.any(positive_t):
-        t_col = times[positive_t][:, None]
-        bits_cap[positive_t, :] = t_col * cfg.bandwidth_hz * np.log1p(
-            td.channel_gain * energies[None, :] / (t_col * sigma2)) / _LN2
-    power_ok = energies[None, :] <= td.p_tx_max * times[:, None]
-
-    A, intensity = td.task_bits, td.intensity
-    best_obj = math.inf
-    best_point = None
-    for b in betas:
-        t_local = a * A / (b**k * f_loc)
-        e_extract = a * A * td.energy_coeff * f_loc**2 / b**k
-        t_remote = A * intensity * b ** (1.0 - p) / f_share
-
-        feas_te = power_ok & (bits_cap >= b * A)
-        has_e = feas_te.any(axis=1)
-        if not has_e.any():
-            continue
-        first_e = np.argmax(feas_te, axis=1)
-        e_min = np.where(has_e, energies[first_e], math.inf)
-
-        headroom = td.energy_budget - e_extract
-        feasible = e_min[None, :] <= headroom[:, None]
-        if not feasible.any():
-            continue
-        objective = t_local[:, None] + times[None, :] + t_remote
-        masked = np.where(feasible, objective, math.inf)
-        flat = int(np.argmin(masked))
-        value = float(masked.flat[flat])
-        if value < best_obj:
-            i_f, i_t = np.unravel_index(flat, masked.shape)
-            best_obj = value
-            best_point = (float(b), float(f_loc[i_f]), float(times[i_t]),
-                          float(energies[first_e[i_t]]))
-    if best_point is None:
-        return None
-    return best_obj, best_point
-
-
-def grid_optimum(tds: Sequence[TerminalDevice], cfg: SystemConfig,
-                 grid: GridSpec) -> Tuple[float, Allocation]:
-    """Exhaustive min-max optimum over the grid for one or two devices.
-
-    Every returned point is a grid point that passed the raw constraint
-    checks. With two devices a shared capacity-split axis is added; devices
-    decouple once the split is fixed, so each split is scanned exhaustively
-    per device.
-    """
-    n = len(tds)
-    if n == 0 or n > 2:
-        raise ValueError("grid_optimum supports one or two devices")
-    if n == 1:
-        splits, resolution = [1.0], grid.resolution_per_axis
-    else:
-        splits = np.arange(1, _N2_SPLITS + 1) / (_N2_SPLITS + 1)
-        resolution = min(grid.resolution_per_axis, _N2_RESOLUTION_CAP)
-    best = None
-    for s in splits:
-        shares = (s * cfg.f_mec_total, (1.0 - s) * cfg.f_mec_total)[:n]
-        points = [_best_single(td, cfg, share, grid, resolution)
-                  for td, share in zip(tds, shares)]
-        if any(pt is None for pt in points):
-            continue
-        objective = max(pt[0] for pt in points)
-        if best is None or objective < best[0]:
-            best = (objective, shares, [pt[1] for pt in points])
-    if best is None:
-        raise FeasibilityError(0 if n == 1 else -1, FeasibilityCause.INVALID_SCENARIO,
-                               "no feasible grid point")
-    objective, shares, pts = best
-    alloc = Allocation(
-        np.array([pt[1] for pt in pts]),
-        np.array([share if td.task_bits > 0 else 0.0 for td, share in zip(tds, shares)]),
-        np.array([pt[2] for pt in pts]),
-        np.array([pt[3] for pt in pts]),
-        np.array([pt[0] for pt in pts]),
-        objective,
-    )
-    return objective, alloc
-
-
-_BASE_TOL = 1e-9  # the allocation under test
-_PROBE_TOL = 1e-12  # each perturbed probe
-_BLOCK_ENTRIES = 2**14  # probe entries per block: 128 KB per float64 temporary
-_STRUCTURED_DEVICES = 32  # devices that get their own structured direction pair
-_SHARED_PROBES = 4  # the structured probes that move every device at once
-_UPLINK_AXES = (0, 3, 4)  # beta, t_transmit, e_transmit in a (5, n) probe
-_SERVER_AXIS = 2  # f_remote in a (5, n) probe
-
-
 class _DeviceArrays:
-    """Device parameters as arrays, taken once per certificate from the table.
+    """Device parameters as arrays, taken once per grid or certificate call.
+
+    It holds the oracle's one copy of each closed form: the extraction
+    energy, the bits an uplink carries, the local time and the remote cycles.
+    Each takes ``slot`` and broadcasts over its other arguments.
 
     Probes are stacked as ``(rows, 5, n)`` in the order (beta, f_local,
     f_remote, t_transmit, e_transmit). Devices without task bits enter the
@@ -250,21 +118,33 @@ class _DeviceArrays:
                 & (e >= -tol) & (t >= -tol)
                 & (e <= self.p_tx_max[dev] * t * (1 + tol) + 1e-300))
 
+    def extraction_energy(self, beta, f_local, slot=slice(None)) -> np.ndarray:
+        return self.extract_coeff[slot] * f_local**2 / beta**self.k[slot]
+
+    def bits_carried(self, t, e, slot=slice(None)) -> np.ndarray:
+        """The bits an uplink of time ``t`` > 0 and energy ``e`` carries."""
+        snr = self.channel_gain[slot] * e / (t * self.noise_power_w)
+        return t * self.bandwidth_hz * np.log1p(snr, out=np.full_like(snr, -np.inf),
+                                                where=snr > -1.0) / _LN2
+
+    def local_time(self, beta, f_local, slot=slice(None)) -> np.ndarray:
+        return self.extract_cycles[slot] / (beta**self.k[slot] * f_local)
+
+    def remote_cycles(self, beta, slot=slice(None)) -> np.ndarray:
+        return self.server_cycles[slot] * beta**self.q[slot]
+
     def holds(self, beta, f_local, t, e, tol: float, slot=slice(None)) -> np.ndarray:
         """The energy and rate checks of each device with work."""
-        e_extract = self.extract_coeff[slot] * f_local**2 / beta**self.k[slot]
+        e_extract = self.extraction_energy(beta, f_local, slot)
         ok = e_extract + e <= self.energy_budget[slot] * (1 + tol)
         sends = t > 0
-        t = np.where(sends, t, 1.0)
-        snr = self.channel_gain[slot] * e / (t * self.noise_power_w)
-        cap = t * self.bandwidth_hz * np.log1p(snr, out=np.full_like(snr, -np.inf),
-                                               where=snr > -1.0) / _LN2
+        cap = self.bits_carried(np.where(sends, t, 1.0), e, slot)
         return ok & sends & (cap >= beta * self.task_bits[slot] * (1 - tol))
 
     def delay(self, beta, f_local, f_remote, t, slot=slice(None)) -> np.ndarray:
         """The delay of each device with work."""
-        return (self.extract_cycles[slot] / (beta**self.k[slot] * f_local) + t
-                + self.server_cycles[slot] * beta**self.q[slot] / f_remote)
+        return (self.local_time(beta, f_local, slot) + t
+                + self.remote_cycles(beta, slot) / f_remote)
 
     def fits_server(self, f_remote: np.ndarray, tol: float) -> np.ndarray:
         # summed in device order, so it rounds as a running sum over the devices
@@ -291,6 +171,121 @@ class _DeviceArrays:
         """Worst per-device delay of each probe row, over devices with work."""
         beta, f_local, f_remote, t, _ = x[:, :, self.work].transpose(1, 0, 2)
         return self.delay(beta, f_local, f_remote, t).max(axis=1, initial=0.0)
+
+
+def default_grid_bounds(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> Dict[str, Tuple[float, float]]:
+    """Reasonable bounds around the feasible region, from raw formulas only."""
+    devices = _DeviceArrays(tds, cfg)
+    w = devices.work
+    if w.size == 0:
+        raise ValueError("default bounds need at least one device with work")
+    p_max, beta_min, f_max = devices.p_tx_max[w], devices.beta_min[w], devices.f_local_max[w]
+    rate = devices.bandwidth_hz * np.log1p(
+        devices.channel_gain * p_max / devices.noise_power_w) / _LN2
+    t_raw = devices.task_bits / rate
+    # widen when the peak-power upload does not fit the energy budget
+    t_hi = (np.where(p_max * t_raw <= devices.energy_budget, 1.05, 8.0) * t_raw).max()
+    f_hi = f_max.max()
+    return {
+        "beta": (float(beta_min.min()), 1.0),
+        "f_local": (float(f_hi * 1e-3), float(f_hi)),
+        "t_transmit": (float((0.95 * beta_min * t_raw).min()), float(t_hi)),
+        "e_transmit": (0.0, float(np.minimum(devices.energy_budget, p_max * t_hi).max())),
+    }
+
+
+def _axis(lo: float, hi: float, resolution: int, geometric: bool) -> np.ndarray:
+    if lo == hi:
+        return np.array([lo], dtype=float)
+    if geometric:
+        if lo <= 0:
+            raise ValueError("geometric axes need positive bounds")
+        return np.geomspace(lo, hi, resolution)
+    return np.linspace(lo, hi, resolution)
+
+
+def _fastest_points(devices: _DeviceArrays, slot: int, betas: np.ndarray, f_loc: np.ndarray,
+                    times: np.ndarray, energies: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Per grid factor, the least local-plus-uplink time of device ``slot``.
+
+    Returns that time (inf where no grid point is feasible), its point as
+    (beta, f_local, t_transmit, e_transmit) rows, and the remote cycles. The
+    factors are read one at a time, so each power is numpy's scalar power.
+    """
+    sends = times > 0
+    bits = devices.bits_carried(np.where(sends, times, 1.0)[:, None], energies[None, :], slot)
+    sendable = sends[:, None] & (energies[None, :] <= devices.p_tx_max[devices.work[slot]]
+                                 * times[:, None])
+    least = np.full(betas.size, math.inf)
+    points = np.zeros((betas.size, 4))
+    cycles = np.zeros(betas.size)
+    for i, b in enumerate(betas):
+        carried = sendable & (bits >= b * devices.task_bits[slot])
+        first_e = np.argmax(carried, axis=1)
+        e_min = np.where(carried.any(axis=1), energies[first_e], math.inf)
+        headroom = devices.energy_budget[slot] - devices.extraction_energy(b, f_loc, slot)
+        masked = np.where(e_min[None, :] <= headroom[:, None],
+                          devices.local_time(b, f_loc, slot)[:, None] + times[None, :], math.inf)
+        flat = int(np.argmin(masked))
+        i_f, i_t = np.unravel_index(flat, masked.shape)
+        least[i] = masked.flat[flat]
+        points[i] = b, f_loc[i_f], times[i_t], energies[first_e[i_t]]
+        cycles[i] = devices.remote_cycles(b, slot)
+    return least, points, cycles
+
+
+def grid_optimum(tds: Sequence[TerminalDevice], cfg: SystemConfig,
+                 grid: GridSpec) -> Tuple[float, Allocation]:
+    """Exhaustive min-max optimum over the grid for one or two devices.
+
+    Every returned point is a grid point that passed the raw constraint
+    checks. With two devices a shared capacity-split axis is added; devices
+    decouple once the split is fixed. The grid reads the devices through the
+    certificate's device view and its closed forms. Per device and grid
+    factor, the least local-plus-uplink time, its point and its remote cycles
+    are found once, and each split adds only the remote time cycles / share.
+    """
+    n = len(tds)
+    if n == 0 or n > 2:
+        raise ValueError("grid_optimum supports one or two devices")
+    if n == 1:
+        splits, resolution = np.ones(1), grid.resolution_per_axis
+    else:
+        splits = np.arange(1, _N2_SPLITS + 1) / (_N2_SPLITS + 1)
+        resolution = min(grid.resolution_per_axis, _N2_RESOLUTION_CAP)
+    shares = np.stack([splits, 1.0 - splits], axis=1)[:, :n] * cfg.f_mec_total
+    devices = _DeviceArrays(tds, cfg)
+    axes = [_axis(*grid.variable_bounds[name], resolution, geometric=name in _GEOMETRIC)
+            for name in _AXES]
+    # a device without work sits at the unit factor and the local-rate cap, idle
+    delays = np.zeros(shares.shape)
+    points = np.tile([1.0, grid.variable_bounds["f_local"][1], 0.0, 0.0], shares.shape + (1,))
+    for dev, slot in enumerate(devices.slot):
+        if slot < 0:
+            continue
+        least, fastest, cycles = _fastest_points(devices, slot, *axes)
+        if np.isinf(least).all():
+            raise FeasibilityError(0 if n == 1 else -1, FeasibilityCause.INVALID_SCENARIO,
+                                   "no feasible grid point")
+        # ties go to the first factor, and then to the first split
+        values = least + cycles / shares[:, dev, None]
+        delays[:, dev] = values.min(axis=1)
+        points[:, dev] = fastest[np.argmin(values, axis=1)]
+    split = int(np.argmin(delays.max(axis=1)))
+    objective = float(delays[split].max())
+    beta, f_local, t, e = points[split].T
+    alloc = Allocation(f_local, np.where(devices.slot >= 0, shares[split], 0.0), t, e, beta,
+                       objective)
+    return objective, alloc
+
+
+_BASE_TOL = 1e-9  # the allocation under test
+_PROBE_TOL = 1e-12  # each perturbed probe
+_BLOCK_ENTRIES = 2**14  # probe entries per block: 128 KB per float64 temporary
+_STRUCTURED_DEVICES = 32  # devices that get their own structured direction pair
+_SHARED_PROBES = 4  # the structured probes that move every device at once
+_UPLINK_AXES = (0, 3, 4)  # beta, t_transmit, e_transmit in a (5, n) probe
+_SERVER_AXIS = 2  # f_remote in a (5, n) probe
 
 
 def _directions(start: int, stop: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from semec.model import Allocation, SystemConfig, TerminalDevice, semantic_constants
+from conftest import semantic_constants
+from semec.model import Allocation, SystemConfig, TerminalDevice
 
 
 def _feasible(alloc_vectors, tds: Sequence[TerminalDevice], cfg: SystemConfig,

@@ -16,6 +16,12 @@ def log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 
 
+def semantic_constants(td: TerminalDevice, cfg: SystemConfig) -> tuple[float, float, float]:
+    """Effective (a, k, p) for a device, honoring per-device overrides."""
+    return tuple(getattr(cfg if getattr(td, name) is None else td, name)
+                 for name in ("sem_a", "sem_k", "sem_p"))
+
+
 def single_device_draw(rng: np.random.Generator) -> tuple[TerminalDevice, SystemConfig]:
     """One random single-device scenario around the reference parameters.
 

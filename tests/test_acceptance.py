@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import multi_device_draw, single_device_draw
+from conftest import multi_device_draw, semantic_constants, single_device_draw
 from semec import (
     GridSpec,
     SweepSpec,
@@ -28,7 +28,6 @@ from semec import (
     reference_scenario,
 )
 from semec.bench import scenario_from_dict
-from semec.model import semantic_constants
 
 
 def _report(cid: str, name: str, ok: bool, detail: str) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import multi_device_draw
+from conftest import multi_device_draw, semantic_constants
 from semec import (
     Allocation,
     SystemConfig,
@@ -16,7 +16,6 @@ from semec import (
     solve,
     solve_no_semantic,
 )
-from semec.model import semantic_constants
 from semec.solver import _bits_carried, _Scenario
 
 

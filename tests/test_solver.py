@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bisection_oracles import bits_carried, server_split_bisection, uplink_time_bisection
-from conftest import log_uniform, multi_device_draw, single_device_draw
+from conftest import log_uniform, multi_device_draw, semantic_constants, single_device_draw
 from semec import (
     Allocation,
     FeasibilityCause,
@@ -27,7 +27,7 @@ from semec import (
     transmit_bisection,
 )
 from semec import solver as solver_module
-from semec.model import DeviceTable, semantic_constants
+from semec.model import DeviceTable
 from semec.solver import (_extraction_energy, _factor_slope, _powers, _refine_block,
                           _remote_cycles, _Scenario, _start, _t_local, _t_remote,
                           _transmit_block, _uplink)
