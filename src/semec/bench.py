@@ -23,7 +23,8 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .baselines import solve_local_only, solve_no_semantic
-from .model import DeviceTable, SystemConfig, check_device_field, generate_channel_gains
+from .model import (_OVERRIDES, DeviceTable, SystemConfig, check_device_field,
+                    generate_channel_gains)
 from .oracle import perturbation_certify
 from .solver import FeasibilityError, SolverReport, delay_breakdown, solve
 
@@ -50,12 +51,6 @@ _DEVICE_PARAMS = ("energy_budget", "task_bits", "beta_min")
 _SYSTEM_PARAMS = ("sem_a", "sem_k", "sem_p", "f_mec_total")
 SWEEPABLE_PARAMS = _DEVICE_PARAMS + _SYSTEM_PARAMS
 
-_DEVICE_FIELDS = ("task_bits", "intensity", "energy_coeff", "f_local_max",
-                  "p_tx_max", "beta_min", "energy_budget")
-_SEM_FIELDS = ("sem_a", "sem_k", "sem_p")  # per-device overrides; null defers to the system
-_ENTRY_FIELDS = _DEVICE_FIELDS + _SEM_FIELDS
-_SYSTEM_FIELDS = tuple(f.name for f in fields(SystemConfig))
-
 _REFERENCE_DEVICE = {
     "task_bits": 3e6,
     "intensity": 70.0,
@@ -65,6 +60,10 @@ _REFERENCE_DEVICE = {
     "beta_min": 0.6,
     "energy_budget": 0.5,
 }
+
+_SEM_FIELDS = _OVERRIDES  # per-device overrides; null defers to the system
+_ENTRY_FIELDS = tuple(_REFERENCE_DEVICE) + _SEM_FIELDS
+_SYSTEM_FIELDS = tuple(f.name for f in fields(SystemConfig))
 
 
 class ScenarioError(ValueError):
