@@ -7,24 +7,19 @@ from typing import Sequence
 import numpy as np
 
 from .closed_forms import _Scenario
-from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice
-from .solver import SolverReport, _at_start, solve
+from .model import Allocation, SystemConfig, TerminalDevice
+from .solver import SolverReport, _at_start
 
 __all__ = ["solve_no_semantic", "solve_local_only"]
 
 
-def solve_no_semantic(tds: Sequence[TerminalDevice], cfg: SystemConfig,
-                      retain_extraction: bool = False) -> SolverReport:
+def solve_no_semantic(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
     """Conventional offloading: every device uploads its raw bits.
 
-    The extraction factor is pinned at 1. By default there is no extraction
-    pass, so its delay and energy are zero and nothing couples the blocks:
-    the optimum is :func:`solve`'s start point. ``retain_extraction=True``
-    keeps the (tiny) factor-1 extraction terms and runs :func:`solve` with
-    every factor floor at 1, the semantic solver forced to a unit factor.
+    The extraction factor is pinned at 1 and there is no extraction pass, so
+    its delay and energy are zero and nothing couples the blocks: the optimum
+    is :func:`solve`'s start point.
     """
-    if retain_extraction:
-        return solve(DeviceTable.from_devices(tds).replace(beta_min=1.0), cfg)
     return _at_start(_Scenario(tds, cfg, extraction=False))
 
 
@@ -40,8 +35,7 @@ def solve_local_only(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> Solver
     # no cycles (or next to none) make the energy-bound rate infinite, so the cap binds
     with np.errstate(divide="ignore", over="ignore"):
         f_local = np.minimum(sc.f_max, np.sqrt(sc.E / (sc.kappa * cycles)))
-    delays = cycles / f_local
-    objective = float(delays.max())
+    objective = float((cycles / f_local).max())
     allocation = Allocation(f_local, np.zeros(sc.n), np.zeros(sc.n), np.zeros(sc.n),
                             np.ones(sc.n), objective)
-    return SolverReport(allocation, [objective], 1, True, objective - delays)
+    return SolverReport(allocation, [objective], 1, True)

@@ -122,9 +122,3 @@ def _bits_carried(sc: _Scenario, h, e, t):
         bits = t * (sc.B / _LN2) * np.log1p(h * e / (t * sc.sigma2))
     return np.where(t > 0, bits, 0.0)
 
-
-def _delays(sc: _Scenario, powers, f_local, t_transmit, f_remote) -> np.ndarray:
-    delays = _t_local(sc, powers[0], f_local)
-    delays += t_transmit
-    delays += _t_remote(_remote_cycles(sc, powers[1]), f_remote)
-    return delays

@@ -244,6 +244,8 @@ def grid_optimum(tds: Sequence[TerminalDevice], cfg: SystemConfig,
     certificate's device view and its closed forms. Per device and grid
     factor, the least local-plus-uplink time, its point and its remote cycles
     are found once, and each split adds only the remote time cycles / share.
+    Raises :class:`FeasibilityError` naming the first device without a
+    feasible grid point.
     """
     n = len(tds)
     if n == 0 or n > 2:
@@ -265,7 +267,7 @@ def grid_optimum(tds: Sequence[TerminalDevice], cfg: SystemConfig,
             continue
         least, fastest, cycles = _fastest_points(devices, slot, *axes)
         if np.isinf(least).all():
-            raise FeasibilityError(0 if n == 1 else -1, FeasibilityCause.INVALID_SCENARIO,
+            raise FeasibilityError(dev, FeasibilityCause.INVALID_SCENARIO,
                                    "no feasible grid point")
         # ties go to the first factor, and then to the first split
         values = least + cycles / shares[:, dev, None]

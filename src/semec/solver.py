@@ -29,8 +29,7 @@ for the steps of the rate block. The slope probes at the ends of the factor
 interval compute the slope alone; only the Newton probes compute the
 curvature.
 
-The raw-upload baseline is the loop's start point without extraction, and
-the retained-extraction baseline is the loop with every factor floor at 1.
+The raw-upload baseline is the loop's start point without extraction.
 
 Every inner solve runs to relative machine precision and ends on the
 feasible side of its float constraint, so no inner solve has a tolerance;
@@ -46,7 +45,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .closed_forms import (_LN2, _bits_carried, _delays, _extraction_energy, _powers,
+from .closed_forms import (_LN2, _bits_carried, _extraction_energy, _powers,
                            _remote_cycles, _Scenario, _t_local, _t_remote)
 from .model import _HUGE, _TINY, Allocation, DeviceTable, SystemConfig, TerminalDevice
 
@@ -89,17 +88,12 @@ class FeasibilityError(Exception):
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Outcome of one solve: allocation, objective trace, and exit data.
-
-    ``tightness_residuals`` holds the per-device slack of the delay cap at
-    exit; at an optimum the cap binds for every active device.
-    """
+    """Outcome of one solve: allocation, objective trace, and exit data."""
 
     allocation: Allocation
     objective_trace: List[float]
     iterations: int
     converged: bool
-    tightness_residuals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -415,13 +409,16 @@ def _input_column(name: str, values: Sequence[float], n: int) -> np.ndarray:
     return column
 
 
-def _checked_point(sc: _Scenario, alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
-    """The (beta, f_local) at which the closed forms read an allocation.
+def _read_allocation(tds: Sequence[TerminalDevice], alloc: Allocation, cfg: SystemConfig,
+                     extraction: bool = True):
+    """The scenario and the closed forms at an allocation: beta**k, the local
+    rate, and the delay columns (t_local, t_transmit, t_remote).
 
-    Devices without work are read at beta = f_local = 1, where A = 0 makes
-    each closed form exactly 0 whatever the allocation holds for them.
-    Raises ValueError for an allocation that no closed form may read.
+    Devices without work are read at beta = f_local = 1 without uplink time,
+    where A = 0 makes each closed form exactly 0 whatever the allocation holds
+    for them. Raises ValueError for an allocation that no closed form may read.
     """
+    sc = _Scenario(tds, cfg, extraction)
     if alloc.n_devices != sc.n:
         raise ValueError("allocation does not match the device list")
     vectors = (alloc.f_local, alloc.f_remote, alloc.t_transmit, alloc.e_transmit, alloc.beta)
@@ -433,7 +430,11 @@ def _checked_point(sc: _Scenario, alloc: Allocation) -> tuple[np.ndarray, np.nda
         raise ValueError("uplink time and energy must be nonnegative")
     if np.any(sc.active & (alloc.f_remote <= 0)):
         raise ValueError("f_remote must be positive for devices with work")
-    return np.where(sc.active, alloc.beta, 1.0), np.where(sc.active, alloc.f_local, 1.0)
+    f_local = np.where(sc.active, alloc.f_local, 1.0)
+    beta_k, beta_1mp = _powers(sc, np.where(sc.active, alloc.beta, 1.0))
+    delays = (_t_local(sc, beta_k, f_local), np.where(sc.active, alloc.t_transmit, 0.0),
+              _t_remote(_remote_cycles(sc, beta_1mp), alloc.f_remote))
+    return sc, beta_k, f_local, delays
 
 
 def optimal_local_rate(td: TerminalDevice, beta: float, e_transmit: float,
@@ -541,13 +542,6 @@ def _rate_block(sc: _Scenario, beta, f_local) -> Allocation:
     return _split_server(sc, beta, beta_k, f_local, t_transmit, e_transmit)
 
 
-def _report(sc: _Scenario, alloc: Allocation, trace: List[float], iterations: int,
-            converged: bool) -> SolverReport:
-    tightness = trace[-1] - _delays(sc, _powers(sc, alloc.beta), alloc.f_local,
-                                    alloc.t_transmit, alloc.f_remote)
-    return SolverReport(alloc, trace, iterations, converged, tightness)
-
-
 def _start(sc: _Scenario) -> Allocation:
     # no uplink carries beta*A bits on less than beta*m joules (E_b/N_0 >= ln 2), so
     # beta_min*m < E iff feasible: the factor leaves the least uplink half the budget
@@ -567,7 +561,7 @@ def _at_start(sc: _Scenario) -> SolverReport:
     where the local rate is the hardware cap and one iteration changes nothing.
     """
     alloc = _start(sc)
-    return _report(sc, alloc, [alloc.t_epigraph], int(np.any(sc.active)), True)
+    return SolverReport(alloc, [alloc.t_epigraph], int(np.any(sc.active)), True)
 
 
 def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
@@ -599,7 +593,7 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
         if abs(trace[-1] - trace[-2]) <= cfg.eps_outer * max(abs(trace[-1]), 1e-300):
             converged = True
             break
-    return _report(sc, alloc, trace, iterations, converged)
+    return SolverReport(alloc, trace, iterations, converged)
 
 
 def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
@@ -609,12 +603,9 @@ def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
     Positive values mean satisfied. Raises ValueError for the allocations
     :func:`delay_breakdown` rejects.
     """
-    sc = _Scenario(tds, cfg)
-    beta_w, f_local_w = _checked_point(sc, alloc)
-    powers = _powers(sc, beta_w)
-    delays = _delays(sc, powers, f_local_w, alloc.t_transmit, alloc.f_remote)
-    delay_cap = alloc.t_epigraph - delays
-    energy = sc.E - _extraction_energy(sc, powers[0], f_local_w) - alloc.e_transmit
+    sc, beta_k, f_local, (t_local, t_transmit, t_remote) = _read_allocation(tds, alloc, cfg)
+    delay_cap = alloc.t_epigraph - (t_local + t_transmit + t_remote)
+    energy = sc.E - _extraction_energy(sc, beta_k, f_local) - alloc.e_transmit
     rate = _bits_carried(sc, sc.h, alloc.e_transmit, alloc.t_transmit) - alloc.beta * sc.A
     rate = np.where(sc.active, rate, 0.0)
     f_local_cap = np.log(sc.f_max) - np.log(alloc.f_local)
@@ -638,10 +629,5 @@ def delay_breakdown(tds: Sequence[TerminalDevice], alloc: Allocation, cfg: Syste
     factor or local rate that is not positive, with a negative uplink time
     or energy, or without a positive server share for a device with work.
     """
-    sc = _Scenario(tds, cfg, extraction)
-    beta, f_local = _checked_point(sc, alloc)
-    beta_k, beta_1mp = _powers(sc, beta)
-    t_local = _t_local(sc, beta_k, f_local)
-    t_transmit = np.where(sc.active, alloc.t_transmit, 0.0)
-    t_remote = _t_remote(_remote_cycles(sc, beta_1mp), alloc.f_remote)
+    t_local, t_transmit, t_remote = _read_allocation(tds, alloc, cfg, extraction)[3]
     return np.stack([t_local, t_transmit, t_remote, t_local + t_transmit + t_remote], axis=1)

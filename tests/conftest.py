@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from semec import SystemConfig, TerminalDevice, generate_channel_gains, reference_scenario
+from semec import (DeviceTable, SolverReport, SystemConfig, TerminalDevice,
+                   generate_channel_gains, reference_scenario, solve)
 
 
 def log_uniform(lo: float, hi: float):
@@ -20,6 +21,12 @@ def semantic_constants(td: TerminalDevice, cfg: SystemConfig) -> tuple[float, fl
     """Effective (a, k, p) for a device, honoring per-device overrides."""
     return tuple(getattr(cfg if getattr(td, name) is None else td, name)
                  for name in ("sem_a", "sem_k", "sem_p"))
+
+
+def solve_retained(tds, cfg: SystemConfig) -> SolverReport:
+    """Raw upload that keeps the factor-1 extraction terms: :func:`solve` with
+    every factor floor at 1."""
+    return solve(DeviceTable.from_devices(tds).replace(beta_min=1.0), cfg)
 
 
 def single_device_draw(rng: np.random.Generator) -> tuple[TerminalDevice, SystemConfig]:

@@ -13,13 +13,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import multi_device_draw, semantic_constants, single_device_draw
+from conftest import multi_device_draw, semantic_constants, single_device_draw, solve_retained
 from semec import (
     GridSpec,
     SweepSpec,
     default_grid_bounds,
     emit_csv,
     grid_optimum,
+    log_domain_residuals,
     optimal_beta,
     run_sweep,
     solve,
@@ -57,7 +58,8 @@ def test_c2_delay_cap_tightness_and_capacity_saturation():
     for _ in range(20):
         tds, cfg = multi_device_draw(rng)
         report = solve(tds, cfg)
-        worst_slack = max(worst_slack, float(report.tightness_residuals.max()))
+        slack = log_domain_residuals(report.allocation, tds, cfg).delay_cap.max()
+        worst_slack = max(worst_slack, float(slack))
         worst_capacity = min(worst_capacity,
                              float(report.allocation.f_remote.sum()) / cfg.f_mec_total)
     allowed = 1e-7 + 1e-9
@@ -135,8 +137,7 @@ def test_c5_baseline_ordering_and_reduction_magnitude():
         devices = tuple(replace(td, energy_budget=energy) for td in scn.devices)
         semantic.append(solve(devices, scn.system).objective_trace[-1])
         headline.append(solve_no_semantic(devices, scn.system).objective_trace[-1])
-        retained.append(solve_no_semantic(devices, scn.system,
-                                          retain_extraction=True).objective_trace[-1])
+        retained.append(solve_retained(devices, scn.system).objective_trace[-1])
         local.append(solve_local_only(devices, scn.system).objective_trace[-1])
     semantic, headline, retained, local = map(np.array, (semantic, headline, retained, local))
 

@@ -1,6 +1,8 @@
 """The public names of the package and of each of its modules."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -31,3 +33,9 @@ def test_every_exported_name_resolves(name):
 def test_package_exports_the_counted_names():
     assert len(_PUBLIC) == 31
     assert sorted(semec.__all__) == sorted(_PUBLIC)
+
+
+def test_solver_report_and_raw_upload_signature():
+    fields = tuple(f.name for f in dataclasses.fields(semec.SolverReport))
+    assert fields == ("allocation", "objective_trace", "iterations", "converged")
+    assert tuple(inspect.signature(semec.solve_no_semantic).parameters) == ("tds", "cfg")

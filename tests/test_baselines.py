@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import multi_device_draw
+from conftest import multi_device_draw, solve_retained
 from semec import (
+    Scenario,
+    SweepSpec,
     SystemConfig,
     TerminalDevice,
+    run_sweep,
     solve,
     solve_local_only,
     solve_no_semantic,
@@ -61,7 +64,9 @@ class TestLocalOnly:
             delays.append(cycles / f)
         assert report.allocation.f_local.tolist() == f_local
         assert report.objective_trace == [max(delays)]
-        assert report.tightness_residuals.tolist() == [max(delays) - d for d in delays]
+        rows = run_sweep(Scenario(cfg, tds, {}), SweepSpec("f_mec_total", [cfg.f_mec_total]),
+                         ["local"])[0].per_device_breakdown
+        assert rows[:, 0].tolist() == delays and rows[:, 3].tolist() == delays
         assert f_local[1] == tds[1].f_local_max and delays[0] == 0.0
 
     def test_no_transmission_no_server(self):
@@ -84,7 +89,7 @@ class TestNoSemantic:
     def test_zero_extraction_pass(self):
         td = make_device()
         headline = solve_no_semantic([td], CFG)
-        retained = solve_no_semantic([td], CFG, retain_extraction=True)
+        retained = solve_retained([td], CFG)
         # the retained variant carries the factor-1 extraction delay
         assert retained.objective_trace[-1] > headline.objective_trace[-1]
         assert retained.objective_trace[-1] == pytest.approx(
@@ -102,7 +107,7 @@ class TestOrdering:
         for _ in range(20):
             tds, cfg = multi_device_draw(rng)
             semantic = solve(tds, cfg).objective_trace[-1]
-            retained = solve_no_semantic(tds, cfg, retain_extraction=True).objective_trace[-1]
+            retained = solve_retained(tds, cfg).objective_trace[-1]
             assert semantic <= retained + 1e-9
 
     def test_offloading_beats_local_on_compute_heavy_draws(self):

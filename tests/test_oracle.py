@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from certify_oracle import first_improving_probe, perturbation_certify_loop, probe_directions
-from conftest import log_uniform, multi_device_draw, single_device_draw
+from conftest import log_uniform, multi_device_draw, single_device_draw, solve_retained
 from semec import (
     FeasibilityCause,
     FeasibilityError,
@@ -19,7 +19,6 @@ from semec import (
     grid_optimum,
     perturbation_certify,
     solve,
-    solve_no_semantic,
     transmit_bisection,
 )
 from semec import oracle
@@ -83,7 +82,7 @@ class TestGridOptimum:
         bounds = default_grid_bounds([td], CFG)
         bounds["beta"] = (1.0, 1.0)
         obj = grid_optimum([td], CFG, GridSpec(128, bounds))[0]
-        retained = solve_no_semantic([td], CFG, retain_extraction=True).objective_trace[-1]
+        retained = solve_retained([td], CFG).objective_trace[-1]
         assert abs(obj - retained) / retained <= 0.02
 
     def test_infeasible_energy(self):
@@ -100,8 +99,17 @@ class TestGridOptimum:
         with pytest.raises(FeasibilityError) as exc:
             grid_optimum(tds, CFG, GridSpec(16, bounds))
         assert (exc.value.device_index, exc.value.cause) == (
-            -1, FeasibilityCause.INVALID_SCENARIO)
-        assert str(exc.value) == "device -1: InvalidScenario (no feasible grid point)"
+            0, FeasibilityCause.INVALID_SCENARIO)
+        assert str(exc.value) == "device 0: InvalidScenario (no feasible grid point)"
+
+    def test_error_names_the_second_device_without_a_feasible_point(self):
+        td = make_device()
+        tds = [td, make_device(energy_budget=1e-12)]
+        with pytest.raises(FeasibilityError) as exc:
+            grid_optimum(tds, CFG, GridSpec(16, default_grid_bounds([td], CFG)))
+        assert (exc.value.device_index, exc.value.cause) == (
+            1, FeasibilityCause.INVALID_SCENARIO)
+        assert str(exc.value) == "device 1: InvalidScenario (no feasible grid point)"
 
     def test_default_bounds_need_a_device_with_work(self):
         with pytest.raises(ValueError) as exc:

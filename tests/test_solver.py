@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bisection_oracles import bits_carried, server_split_bisection, uplink_time_bisection
-from conftest import log_uniform, multi_device_draw, semantic_constants, single_device_draw
+from conftest import (log_uniform, multi_device_draw, semantic_constants, single_device_draw,
+                      solve_retained)
 from semec import (
     Allocation,
     FeasibilityCause,
@@ -811,7 +812,7 @@ _FAR_DEVICE = make_device(energy_budget=0.02, channel_gain=3.5841126307531745e-1
 
 
 _OFFLOADING_SOLVES = pytest.mark.parametrize(
-    "call", [solve, solve_no_semantic, partial(solve_no_semantic, retain_extraction=True)],
+    "call", [solve, solve_no_semantic, solve_retained],
     ids=["solve", "raw_upload", "retained_extraction"])
 
 
@@ -828,7 +829,7 @@ class TestSolve:
         assert res.rate.min() >= -1e-6 * 3e6
         assert np.all(report.allocation.beta >= 0.6 - 1e-12)
         assert np.all(report.allocation.beta <= 1.0 + 1e-12)
-        assert report.tightness_residuals.max() <= 1e-7 + 1e-9
+        assert res.delay_cap.max() <= 1e-7 + 1e-9
 
     def test_monotone_descent_random(self):
         rng = np.random.default_rng(31)
@@ -865,7 +866,7 @@ class TestSolve:
         from dataclasses import replace
         devices = tuple(replace(td, beta_min=1.0) for td in reference.devices)
         pinned = solve(devices, reference.system)
-        retained = solve_no_semantic(reference.devices, reference.system, retain_extraction=True)
+        retained = solve_retained(reference.devices, reference.system)
         assert pinned.objective_trace[-1] == pytest.approx(
             retained.objective_trace[-1], rel=1e-12)
         np.testing.assert_allclose(pinned.allocation.beta, 1.0, atol=1e-15)
@@ -1000,9 +1001,9 @@ class TestSolve:
         from semec import GridSpec, default_grid_bounds, grid_optimum
         grid_obj, _ = grid_optimum([td], CFG, GridSpec(128, default_grid_bounds([td], CFG)))
         assert report.objective_trace[-1] <= grid_obj
-        for retain in (False, True):
+        for call in (solve_no_semantic, solve_retained):
             with pytest.raises(FeasibilityError) as exc:
-                solve_no_semantic([td], CFG, retain_extraction=retain)
+                call([td], CFG)
             assert (exc.value.device_index, exc.value.cause) == (
                 0, FeasibilityCause.RATE_CAP_TOO_LOW)
         assert solve_local_only([td], CFG).objective_trace[-1] == pytest.approx(2.15186,
@@ -1041,8 +1042,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("call", [
         lambda td, cfg: solve([td], cfg),
-        lambda td, cfg: solve_no_semantic([replace(td, beta_min=0.6)], cfg,
-                                          retain_extraction=True)],
+        lambda td, cfg: solve_retained([replace(td, beta_min=0.6)], cfg)],
         ids=["solve", "retained_extraction"])
     def test_extraction_energy_below_half_an_ulp(self, call):
         # the extraction energy (3e-18 J) is below half an ulp of the budget,
@@ -1094,7 +1094,7 @@ class TestSolve:
         rows = delay_breakdown(tds, report.allocation, cfg)
         assert rows[:, 3].max() == report.allocation.t_epigraph
         assert ((report.objective_trace[-1] - rows[:, 3]).tobytes()
-                == report.tightness_residuals.tobytes())
+                == log_domain_residuals(report.allocation, tds, cfg).delay_cap.tobytes())
 
     def test_device_order_invariance(self):
         rng = np.random.default_rng(77)
@@ -1238,16 +1238,20 @@ class TestResiduals:
                 with pytest.raises(ValueError, match="allocation entries must be finite"):
                     check(Allocation(**{**good, name: value}))
 
-    @pytest.mark.parametrize("beta, f_local", [(1e-100, 1e9), (0.8, 1e155)],
-                             ids=["tiny_factor", "huge_local_rate"])
-    def test_device_without_work_gets_exact_zeros(self, beta, f_local):
+    @pytest.mark.parametrize("beta, f_local, t_transmit", [
+        (1e-100, 1e9, 0.0), (0.8, 1e155, 0.0), (0.8, 1e9, 0.3)],
+        ids=["tiny_factor", "huge_local_rate", "uplink_time"])
+    def test_device_without_work_gets_exact_zeros(self, beta, f_local, t_transmit):
         # beta**4 underflows and f_local**2 overflows, so the closed forms
-        # must not be evaluated at these entries
+        # must not be evaluated at these entries; a device without work has
+        # no delay, whatever uplink time the allocation gives it
         td = make_device(task_bits=0.0)
-        alloc = Allocation([f_local], [0.0], [0.0], [0.0], [beta], 1.0)
+        alloc = Allocation([f_local], [0.0], [t_transmit], [0.0], [beta], 1.0)
         res = log_domain_residuals(alloc, [td], SystemConfig(sem_k=4.0))
+        rows = delay_breakdown([td], alloc, SystemConfig(sem_k=4.0))
         assert (res.delay_cap[0], res.energy[0], res.rate[0]) == (1.0, td.energy_budget, 0.0)
-        assert np.all(delay_breakdown([td], alloc, SystemConfig(sem_k=4.0)) == 0.0)
+        assert np.all(rows == 0.0)
+        assert res.delay_cap.tobytes() == (alloc.t_epigraph - rows[:, 3]).tobytes()
 
     @_BOTH_READERS
     @pytest.mark.parametrize("name, value, message", [
