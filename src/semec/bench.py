@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .baselines import solve_local_only, solve_no_semantic
-from .model import (_OVERRIDES, DeviceTable, SystemConfig, check_device_field,
+from .model import (_OVERRIDES, _number, DeviceTable, SystemConfig, check_number,
                     generate_channel_gains)
 from .oracle import perturbation_certify
 from .solver import FeasibilityError, SolverReport, delay_breakdown, solve
@@ -89,7 +89,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter and the values it takes, at least one."""
+    """One swept parameter and the values it takes, at least one, as floats;
+    an integer that no float holds reads as NaN, which its rule rejects."""
 
     param: str
     values: Tuple[float, ...]
@@ -98,7 +99,7 @@ class SweepSpec:
         if self.param not in SWEEPABLE_PARAMS:
             raise ScenarioError(
                 f"unknown sweep parameter {self.param!r}; choose from {SWEEPABLE_PARAMS}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(_number, self.values)))
         if not self.values:
             raise ScenarioError(f"the {self.param} sweep lists no values")
 
@@ -298,12 +299,9 @@ def _override(scenario: Scenario, param: str, value: float) -> Scenario:
 
 
 def validate_sweep(scenario: Scenario, sweep: SweepSpec) -> None:
-    """Raise ValueError, naming the field, if a sweep value is out of its range."""
+    """Raise ValueError, naming the field, if a sweep value breaks the field's rule."""
     for value in sweep.values:
-        if sweep.param in _DEVICE_PARAMS:
-            check_device_field(sweep.param, value)
-        else:
-            replace(scenario.system, **{sweep.param: value})
+        check_number(sweep.param, value)
 
 
 def _run_algorithm(scenario: Scenario, algorithm: str) -> SolverReport:

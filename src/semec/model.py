@@ -22,7 +22,7 @@ import numpy as np
 __all__ = [
     "TerminalDevice",
     "DeviceTable",
-    "check_device_field",
+    "check_number",
     "SystemConfig",
     "Allocation",
     "generate_channel_gains",
@@ -31,46 +31,49 @@ __all__ = [
 _DBM_PER_WATT = 30.0
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
-
-
 _OVERRIDES = ("sem_a", "sem_k", "sem_p")  # per-device; None defers to the system
 
 
 _TINY = np.nextafter(0.0, 1.0)  # the least float above zero
 _HUGE = np.finfo(float).max  # the greatest finite float
 
-# the closed range [lo, hi] each device field must lie in, with open ends
-# written as the nearest float inside them (NaN fails both comparisons), and
-# the message naming the field; in the order the fields are checked
-_DEVICE_RULES = {
-    "task_bits": (0.0, _HUGE, "must be finite and nonnegative"),
+# the closed range [lo, hi] each number a caller passes by name must lie in,
+# with open ends written as the nearest float inside them (NaN fails both
+# comparisons, and so does an integer beyond every float), and the message
+# naming the rule; the device fields come in the order they are checked
+_RULES = {
+    **{name: (0.0, _HUGE, "must be finite and nonnegative")
+       for name in ("task_bits", "t_transmit", "e_transmit")},
     **{name: (_TINY, _HUGE, "must be finite and positive")
        for name in ("intensity", "energy_coeff", "f_local_max", "p_tx_max", "energy_budget",
-                    "channel_gain")},
-    "beta_min": (_TINY, 1.0, "must lie in (0, 1]"),
+                    "channel_gain", "bandwidth_hz", "f_mec_total", "eps_outer", "f_local",
+                    "f_remote", "step")},
+    **{name: (_TINY, 1.0, "must lie in (0, 1]") for name in ("beta_min", "beta")},
+    # device overrides and system fields alike
     **{name: (_TINY, _HUGE, "must be finite and positive when given") for name in _OVERRIDES},
+    **{name: (-_HUGE, _HUGE, "must be finite")
+       for name in ("noise_psd_dbm_hz", "variable_bounds")},
+    "max_outer_iters": (1, _HUGE, "must be a positive integer"),
+    **{name: (0, _HUGE, "must be a nonnegative integer") for name in ("n_probes", "seed")},
+    "resolution_per_axis": (8, _HUGE, "must be an integer of at least 8"),
 }
+_COUNTS = ("max_outer_iters", "n_probes", "seed", "resolution_per_axis")  # integers, no bools
 
 
-_RANKS = {name: rank for rank, name in enumerate(_DEVICE_RULES)}
-_BOUNDS = np.array([rule[:2] for rule in _DEVICE_RULES.values()]).T  # (lo, hi) by rank
-
-
-def check_device_field(name: str, value: object) -> None:
-    """Raise ValueError unless ``value`` may be the device field ``name``.
-
-    ``None`` is admissible for the semantic overrides alone; NaN never is.
+def check_number(name: str, value: object) -> None:
+    """Raise ValueError, ``<name> <rule>``, unless ``value`` obeys the rule of ``name``:
+    a real number, or for a count an integer that is no bool, in its range.
     """
-    lo, hi, message = _DEVICE_RULES[name]
+    lo, hi, message = _RULES[name]
+    if name in _COUNTS:
+        number = isinstance(value, Integral) and not isinstance(value, bool)
+    else:  # exact floats skip the slower abstract type test
+        number = type(value) is float or isinstance(value, Real)
     try:
-        # exact floats skip the slower abstract type test
-        admitted = (type(value) is float or isinstance(value, Real)) and lo <= value <= hi
+        admitted = number and lo <= value <= hi
     except OverflowError:  # an integer beyond every float
         admitted = False
-    if not (admitted or value is None and name in _OVERRIDES):
+    if not admitted:
         raise ValueError(f"{name} {message}")
 
 
@@ -101,11 +104,14 @@ class TerminalDevice:
     sem_p: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in _DEVICE_RULES:
-            check_device_field(name, getattr(self, name))
+        for name in _DEVICE_CHECKS:
+            value = getattr(self, name)
+            if value is not None or name not in _OVERRIDES:
+                check_number(name, value)
 
 
 _FIELDS = tuple(f.name for f in fields(TerminalDevice))
+_DEVICE_CHECKS = tuple(name for name in _RULES if name in _FIELDS)  # in check order
 _REQUIRED = len(_FIELDS) - len(_OVERRIDES)
 _ITER_BLOCK = 1024  # rows converted to Python floats at a time while iterating
 
@@ -119,7 +125,7 @@ def _checked(columns: Dict[str, object], n: int) -> Dict[str, np.ndarray]:
     unknown = sorted(set(columns) - set(_FIELDS))
     if unknown:
         raise TypeError(f"unknown device field(s) {unknown}")
-    names = [name for name in _DEVICE_RULES if name in columns]
+    names = [name for name in _DEVICE_CHECKS if name in columns]
     matrix = np.empty((len(names), n))
     given = np.ones((len(names), n), dtype=bool)
     for row, name in enumerate(names):
@@ -130,22 +136,30 @@ def _checked(columns: Dict[str, object], n: int) -> Dict[str, np.ndarray]:
         if name in _OVERRIDES and isinstance(values, (list, tuple)):
             given[row] = [v is not None for v in values]
             values = [0.0 if v is None else v for v in values]
-        array = np.asarray(values)
+        array = _numbers(values)
         if array.shape not in ((), (n,)):
             got = len(array) if array.ndim == 1 else f"an array of shape {array.shape}"
             raise ValueError(f"{name} must list {n} numbers, not {got}")
-        if array.dtype.kind not in "biuf":
-            # an entry that is no number fails its rule like NaN does
-            array = np.vectorize(_number, otypes=[float])(np.asarray(values, dtype=object))
         matrix[row] = array
     return _validated(names, matrix, given)
 
 
 def _number(value: object) -> float:
+    """float(value), and NaN, which fails every rule, for an integer beyond every float."""
     try:
-        return float(value) if isinstance(value, Real) else math.nan
-    except OverflowError:  # an integer beyond every float
+        return float(value)
+    except OverflowError:
         return math.nan
+
+
+def _numbers(values: object) -> np.ndarray:
+    """``values`` as an array of numbers, where an entry that is no real
+    number reads as NaN and so fails its rule."""
+    array = np.asarray(values)
+    if array.dtype.kind in "biuf":
+        return array
+    return np.vectorize(lambda v: _number(v) if isinstance(v, Real) else math.nan,
+                        otypes=[float])(np.asarray(values, dtype=object))
 
 
 def _validated(names: Sequence[str], matrix: np.ndarray,
@@ -156,13 +170,13 @@ def _validated(names: Sequence[str], matrix: np.ndarray,
     violation names the first failing device and its first failing field,
     as checking device after device would.
     """
-    lo, hi = _BOUNDS[:, [_RANKS[name] for name in names], None]
+    lo, hi = np.array([_RULES[name][:2] for name in names]).T[:, :, None]
     bad = given & ~((lo <= matrix) & (matrix <= hi))
     failing = bad.any(axis=0)
     if failing.any():
         i = int(failing.argmax())
         name = names[int(bad[:, i].argmax())]
-        raise ValueError(f"devices[{i}]: {name} {_DEVICE_RULES[name][2]}")
+        raise ValueError(f"devices[{i}]: {name} {_RULES[name][2]}")
     matrix[~given] = math.nan
     matrix.flags.writeable = False
     return dict(zip(names, matrix))
@@ -271,9 +285,10 @@ class SystemConfig:
 
     ``noise_psd_dbm_hz`` is a power spectral density; the rate formula uses
     the integrated noise power over one sub-channel of ``bandwidth_hz``.
-    Defaults reproduce the reference simulation setup. Every field must be
-    finite. The device count is the length of the device sequence, and the
-    inner solves run to machine precision, so neither has a field here.
+    Defaults reproduce the reference simulation setup. Every field obeys
+    its rule in the one table that :func:`check_number` reads. The device
+    count is the length of the device sequence, and the inner solves run to
+    machine precision, so neither has a field here.
     """
 
     bandwidth_hz: float = 1e6
@@ -286,14 +301,8 @@ class SystemConfig:
     max_outer_iters: int = 100
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.max_outer_iters, Integral) and self.max_outer_iters >= 1,
-                 "max_outer_iters must be a positive integer")
-        _require(isinstance(self.noise_psd_dbm_hz, Real) and abs(self.noise_psd_dbm_hz) < math.inf,
-                 "noise_psd_dbm_hz must be finite")
-        for name in ("bandwidth_hz", "f_mec_total", "sem_a", "sem_k", "sem_p", "eps_outer"):
-            value = getattr(self, name)
-            _require(isinstance(value, Real) and 0 < value < math.inf,
-                     f"{name} must be finite and positive")
+        for f in fields(self):
+            check_number(f.name, getattr(self, f.name))
 
     @property
     def noise_power_w(self) -> float:
@@ -320,9 +329,11 @@ class Allocation:
         for name in ("f_local", "f_remote", "t_transmit", "e_transmit", "beta"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.f_local.shape[0]
-        for name in ("f_remote", "t_transmit", "e_transmit", "beta"):
-            _require(getattr(self, name).shape == (n,), "allocation vectors must share one length")
-        _require(self.t_epigraph >= 0, "t_epigraph must be nonnegative")
+        if any(getattr(self, name).shape != (n,)
+               for name in ("f_remote", "t_transmit", "e_transmit", "beta")):
+            raise ValueError("allocation vectors must share one length")
+        if not self.t_epigraph >= 0:
+            raise ValueError("t_epigraph must be nonnegative")
 
     @property
     def n_devices(self) -> int:

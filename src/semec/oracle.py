@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice
+from .model import Allocation, DeviceTable, SystemConfig, TerminalDevice, check_number
 from .solver import FeasibilityCause, FeasibilityError
 
 __all__ = ["GridSpec", "default_grid_bounds", "grid_optimum", "perturbation_certify"]
@@ -52,20 +51,26 @@ class GridSpec:
     ``beta`` and ``f_local`` axes are laid out geometrically, matching the
     log substitution of the convexified problem; ``t_transmit`` and
     ``e_transmit`` linearly.
+
+    By the package's one rule table, ``resolution_per_axis`` is an integer
+    (no bool) of at least 8 and each bound a finite real number, an integer
+    that no float holds failing like inf; each axis has bounds lo <= hi. A
+    violation raises ValueError naming the field.
     """
 
     resolution_per_axis: int
     variable_bounds: Dict[str, Tuple[float, float]]
 
     def __post_init__(self) -> None:
-        if self.resolution_per_axis < 8:
-            raise ValueError("resolution_per_axis must be at least 8")
+        check_number("resolution_per_axis", self.resolution_per_axis)
         for name in _AXES:
             if name not in self.variable_bounds:
                 raise ValueError(f"missing bounds for {name}")
             lo, hi = self.variable_bounds[name]
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValueError(f"bounds for {name} must be finite and ordered")
+            check_number("variable_bounds", lo)
+            check_number("variable_bounds", hi)
+            if not lo <= hi:
+                raise ValueError(f"variable_bounds for {name} must be ordered")
 
 
 class _DeviceArrays:
@@ -408,11 +413,6 @@ class _Probes:
         return bool(np.any(self.worst - np.maximum(delay, others) > self.allowance))
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer")
-
-
 def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
                          cfg: SystemConfig, n_probes: int, step: float,
                          seed: int = 0) -> bool:
@@ -439,16 +439,17 @@ def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
     (n, n_probes, seed), and the last such set is cached read-only, so the
     cells of a sweep draw it once.
 
-    Raises ValueError for a ``step`` that is not finite and positive, for an
-    ``n_probes`` or ``seed`` that is not a nonnegative integer, and for an
-    allocation that does not match the devices in length, holds a non-finite
-    entry, leaves a device with work without server share, or violates a
-    constraint by more than a relative 1e-9.
+    By the package's one rule table, ``step`` is finite and positive and
+    ``n_probes`` and ``seed`` are nonnegative integers (no bool), an integer
+    that no float holds failing like inf; a violation raises ValueError
+    naming the argument, as does an allocation that does not match the
+    devices in length, holds a non-finite entry, leaves a device with work
+    without server share, or violates a constraint by more than a relative
+    1e-9.
     """
-    if not 0 < step < math.inf:
-        raise ValueError("step must be finite and positive")
-    _check_count("n_probes", n_probes)
-    _check_count("seed", seed)
+    check_number("step", step)
+    check_number("n_probes", n_probes)
+    check_number("seed", seed)
     n = len(tds)
     if alloc.n_devices != n:
         raise ValueError("allocation and devices must have the same length")

@@ -47,7 +47,8 @@ import numpy as np
 
 from .closed_forms import (_LN2, _bits_carried, _extraction_energy, _powers,
                            _remote_cycles, _Scenario, _t_local, _t_remote)
-from .model import _HUGE, _TINY, Allocation, DeviceTable, SystemConfig, TerminalDevice
+from .model import (_numbers, Allocation, DeviceTable, SystemConfig, TerminalDevice,
+                    check_number)
 
 __all__ = [
     "FeasibilityCause",
@@ -383,29 +384,13 @@ def _refine_block(sc: _Scenario, beta, f_local, f_remote) -> np.ndarray:
 # --- public operations ------------------------------------------------------
 
 
-# the closed range [lo, hi] each block input must lie in (NaN fails both
-# comparisons), and the message naming the rule
-_INPUT_RULES = {
-    "beta": (_TINY, 1.0, "must lie in (0, 1]"),
-    **{name: (_TINY, _HUGE, "must be finite and positive") for name in ("f_local", "f_remote")},
-    **{name: (0.0, _HUGE, "must be finite and nonnegative")
-       for name in ("t_transmit", "e_transmit")},
-}
-
-
-def _check_input(name: str, value: float) -> None:
-    lo, hi, rule = _INPUT_RULES[name]
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} {rule}")
-
-
 def _input_column(name: str, values: Sequence[float], n: int) -> np.ndarray:
-    lo, hi, rule = _INPUT_RULES[name]
-    column = np.asarray(values, dtype=float)
+    column = _numbers(values).astype(float, copy=False)
     if column.shape != (n,):
         raise ValueError(f"{name} must list {n} numbers, not an array of shape {column.shape}")
-    if not np.all((lo <= column) & (column <= hi)):
-        raise ValueError(f"{name} {rule}")
+    if n:  # every entry obeys the rule iff both extremes do; NaN reaches both
+        check_number(name, column.min())
+        check_number(name, column.max())
     return column
 
 
@@ -445,8 +430,8 @@ def optimal_local_rate(td: TerminalDevice, beta: float, e_transmit: float,
     branch is the largest rate whose extraction leaves ``e_transmit`` of the
     budget in float, within a few ulps of the rate that spends all the rest.
     """
-    _check_input("beta", beta)
-    _check_input("e_transmit", e_transmit)
+    check_number("beta", beta)
+    check_number("e_transmit", e_transmit)
     if td.task_bits == 0:
         return td.f_local_max
     if e_transmit >= td.energy_budget:
@@ -468,8 +453,8 @@ def transmit_bisection(td: TerminalDevice, beta: float, f_local: float,
     monotone Newton steps and returned where the float rate condition holds.
     The name predates this exact solve, which has no tolerance to set.
     """
-    _check_input("beta", beta)
-    _check_input("f_local", f_local)
+    check_number("beta", beta)
+    check_number("f_local", f_local)
     sc = _Scenario([td], cfg)
     beta = np.array([beta])
     t, e = _transmit_block(sc, beta, _powers(sc, beta)[0], np.array([f_local]))
@@ -506,7 +491,7 @@ def optimal_beta(td: TerminalDevice, f_local: float, f_remote: float, t_transmit
     """
     for name, value in (("f_local", f_local), ("f_remote", f_remote),
                         ("t_transmit", t_transmit), ("e_transmit", e_transmit)):
-        _check_input(name, value)
+        check_number(name, value)
     if td.task_bits == 0:
         return 1.0
     table = DeviceTable.from_devices([td])
@@ -600,8 +585,12 @@ def log_domain_residuals(alloc: Allocation, tds: Sequence[TerminalDevice],
                          cfg: SystemConfig) -> ConstraintResiduals:
     """Signed slack of every constraint of the convexified problem.
 
-    Positive values mean satisfied. Raises ValueError for the allocations
-    :func:`delay_breakdown` rejects.
+    Positive values mean satisfied. It reads an allocation of the semantic
+    problem, extraction pass included, so the ``delay_cap`` of a
+    ``solve_no_semantic`` answer carries the factor-1 extraction delay that
+    baseline never runs (-3.0e-8 s on ``reference_scenario()``);
+    ``delay_breakdown(..., extraction=False)`` reads raw-upload rows. Raises
+    ValueError for the allocations :func:`delay_breakdown` rejects.
     """
     sc, beta_k, f_local, (t_local, t_transmit, t_remote) = _read_allocation(tds, alloc, cfg)
     delay_cap = alloc.t_epigraph - (t_local + t_transmit + t_remote)

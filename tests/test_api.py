@@ -39,3 +39,11 @@ def test_solver_report_and_raw_upload_signature():
     fields = tuple(f.name for f in dataclasses.fields(semec.SolverReport))
     assert fields == ("allocation", "objective_trace", "iterations", "converged")
     assert tuple(inspect.signature(semec.solve_no_semantic).parameters) == ("tds", "cfg")
+
+
+def test_every_config_field_has_a_rule():
+    # the device checks run in the table's order, which
+    # test_first_device_then_first_field_in_check_order pins
+    names = [f.name for cls in (semec.TerminalDevice, semec.SystemConfig)
+             for f in dataclasses.fields(cls)]
+    assert [name for name in names if name not in semec.model._RULES] == []

@@ -2,6 +2,7 @@ import csv
 import importlib
 import importlib.util
 import json
+import math
 import re
 import subprocess
 import sys
@@ -268,6 +269,11 @@ class TestRunSweep:
         devices = reference.devices.replace(energy_budget=0.3)
         assert r.max_delay_s == solve_local_only(devices, reference.system).allocation.t_epigraph
 
+    def test_value_no_float_holds_rejected_like_inf(self, reference):
+        for value in (math.inf, 10**400):
+            with pytest.raises(ValueError, match="^task_bits must be finite and nonnegative$"):
+                run_sweep(reference, SweepSpec("task_bits", (value,)), ["semantic"])
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ScenarioError, match="unknown sweep parameter"):
             SweepSpec("bandwidth_hz", (1e6,))
@@ -405,7 +411,9 @@ class TestCli:
         assert err.startswith("error: ") and field in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field,value", [("max_outer_iters", 0), ("eps_outer", 0)])
+    @pytest.mark.parametrize("field,value", [("max_outer_iters", 0), ("eps_outer", 0),
+                                             pytest.param("f_mec_total", 10**400,
+                                                          id="f_mec_total-10**400")])
     def test_bad_scenario_value_is_an_error_not_a_traceback(self, tmp_path, capsys, field,
                                                             value):
         doc = json.loads(SCENARIO_PATH.read_text())

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,13 +8,19 @@ from hypothesis import given, strategies as st
 from conftest import multi_device_draw, semantic_constants
 from semec import (
     Allocation,
+    GridSpec,
     SystemConfig,
     TerminalDevice,
     delay_breakdown,
     generate_channel_gains,
     log_domain_residuals,
+    optimal_beta,
+    optimal_local_rate,
+    perturbation_certify,
+    remote_rate_bisection,
     solve,
     solve_no_semantic,
+    transmit_bisection,
 )
 from semec.solver import _bits_carried, _Scenario
 
@@ -109,6 +115,69 @@ class TestValidation:
         td = make_device(task_bits=3_000_000, intensity=np.float32(70.0), sem_k=4)
         cfg = SystemConfig(bandwidth_hz=np.float64(1e6), noise_psd_dbm_hz=-174)
         assert solve([td], cfg).converged
+
+
+# each public entry that takes named numbers, called with valid ones but those given
+def _optimal_beta(**given):
+    numbers = dict(f_local=1e9, f_remote=1e9, t_transmit=0.1, e_transmit=0.1)
+    return optimal_beta(make_device(), cfg=CFG, **{**numbers, **given})
+
+
+def _transmit_bisection(**given):
+    return transmit_bisection(make_device(), cfg=CFG, **{"beta": 0.8, "f_local": 1e9, **given})
+
+
+def _optimal_local_rate(**given):
+    return optimal_local_rate(make_device(), cfg=CFG, **{"beta": 0.8, "e_transmit": 0.1, **given})
+
+
+def _remote_rate_bisection(**given):
+    # a given number leads its column, and a valid entry follows it
+    columns = {"beta": [0.8, 0.8], "f_local": [1e9, 1e9], "t_transmit": [0.1, 0.1]}
+    columns.update({name: [value, columns[name][1]] for name, value in given.items()})
+    return remote_rate_bisection([make_device()] * 2, cfg=CFG, **columns)
+
+
+def _perturbation_certify(**given):
+    counts = {"n_probes": 10, "step": 1e-3, "seed": 0, **given}
+    return perturbation_certify(make_alloc(), [make_device()], CFG, **counts)
+
+
+def _grid_spec(resolution_per_axis=16, variable_bounds=1.0):
+    # the number given for the bounds is the uplink-time axis's upper end
+    return GridSpec(resolution_per_axis, {"beta": (0.6, 1.0), "f_local": (1e6, 1e9),
+                                          "t_transmit": (0.0, variable_bounds),
+                                          "e_transmit": (0.0, 0.5)})
+
+
+_NAMED_NUMBERS = [
+    *((make_device, f.name) for f in fields(TerminalDevice)),
+    *((SystemConfig, f.name) for f in fields(SystemConfig)),
+    *((_optimal_beta, name) for name in ("f_local", "f_remote", "t_transmit", "e_transmit")),
+    *((_transmit_bisection, name) for name in ("beta", "f_local")),
+    *((_optimal_local_rate, name) for name in ("beta", "e_transmit")),
+    *((_remote_rate_bisection, name) for name in ("beta", "f_local", "t_transmit")),
+    *((_perturbation_certify, name) for name in ("step", "n_probes", "seed")),
+    *((_grid_spec, name) for name in ("resolution_per_axis", "variable_bounds")),
+]
+_COUNTS = ("max_outer_iters", "n_probes", "seed", "resolution_per_axis")
+
+
+@pytest.mark.parametrize("entry,name", _NAMED_NUMBERS,
+                         ids=[f"{entry.__name__.strip('_')}-{name}"
+                              for entry, name in _NAMED_NUMBERS])
+def test_every_named_number_obeys_its_rule(entry, name):
+    # an integer no float holds is rejected like inf, and a count takes no
+    # bool and no fraction; each error names the number
+    for value in [10**400] + ([True, 8.5] if name in _COUNTS else []):
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            entry(**{name: value})
+
+
+def test_remote_rate_columns_take_numbers_only():
+    # the device rules reject a string entry, and so does every column
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\]$"):
+        remote_rate_bisection([make_device()] * 2, ["0.8", "0.8"], [1e9] * 2, [0.1] * 2, CFG)
 
 
 class TestExtractionWorkload:
