@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .baselines import solve_local_only, solve_no_semantic
-from .model import (_OVERRIDES, _number, DeviceTable, SystemConfig, check_number,
+from .model import (_OVERRIDES, _column, _number, DeviceTable, SystemConfig, check_number,
                     generate_channel_gains)
 from .oracle import perturbation_certify
 from .solver import FeasibilityError, SolverReport, delay_breakdown, solve
@@ -145,22 +145,6 @@ def _fields(section: object, where: str, nullable: Sequence[str] = ()) -> dict:
     return dict(section)
 
 
-def _numbers(values: object, n: int, where: str) -> np.ndarray:
-    try:
-        out = np.asarray(values)
-    except ValueError as exc:  # ragged nesting
-        raise ScenarioError(f"{where} must list {n} numbers") from exc
-    if out.dtype.kind not in "iuf" or out.shape != (n,):
-        raise ScenarioError(f"{where} must list {n} numbers")
-    return out.astype(float, copy=False)
-
-
-def _positive_count(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ScenarioError(f"{where} must be a positive integer, not {value!r}")
-    return value
-
-
 def _uniform_table(template: dict, gains: np.ndarray) -> DeviceTable:
     # every device is the template, so device 0 speaks for all
     _check_keys(template, _ENTRY_FIELDS, "devices[0]")
@@ -181,21 +165,34 @@ def _listed_table(entries: List[dict], gains: np.ndarray) -> DeviceTable:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario of a parsed document. A malformed section, or a number
+    that breaks its rule in the table :func:`semec.model.check_number` reads,
+    raises ScenarioError naming the field; the channel's numbers are recorded
+    as the floats read, so a later change to ``doc`` does not reach them."""
+    try:
+        return _scenario(doc)
+    except ScenarioError:
+        raise
+    except ValueError as exc:  # a rule's message names the field
+        raise ScenarioError(str(exc)) from exc
+
+
+def _scenario(doc: dict) -> Scenario:
     _check_keys(doc, ("label", "system", "devices", "channel"), "scenario")
     label = str(doc.get("label", ""))
 
     system_doc = _fields(doc.get("system", {}), "system")
     _check_keys(system_doc, _SYSTEM_FIELDS + ("n_devices",), "system")
+    declared = system_doc.pop("n_devices", None)
 
     devices_doc = doc.get("devices")
     if isinstance(devices_doc, dict):
         _check_keys(devices_doc, ("uniform", "count"), "devices")
         if "uniform" not in devices_doc:
             raise ScenarioError("devices mapping needs a 'uniform' template")
-        if "count" in devices_doc or "n_devices" not in system_doc:
-            n = _positive_count(devices_doc.get("count"), "devices.count")
-        else:
-            n = _positive_count(system_doc["n_devices"], "system.n_devices")
+        n = devices_doc.get("count", declared)
+        if "count" in devices_doc or declared is None:
+            check_number("devices.count", n)
         uniform = _fields(devices_doc["uniform"], "devices.uniform", _SEM_FIELDS)
         build_table = partial(_uniform_table, uniform)
     elif isinstance(devices_doc, list):
@@ -207,9 +204,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         raise ScenarioError("devices must be a list or a uniform template mapping")
 
-    declared = _positive_count(system_doc.pop("n_devices", n), "system.n_devices")
-    if declared != n:
-        raise ScenarioError(f"system.n_devices={declared} but {n} device entries were given")
+    if declared is not None:
+        check_number("system.n_devices", declared)
+        if declared != n:
+            raise ScenarioError(f"system.n_devices={declared} but {n} device entries were given")
     try:
         system = SystemConfig(**system_doc)
     except (TypeError, ValueError) as exc:
@@ -219,41 +217,34 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(channel, dict):
         raise ScenarioError("channel section is required")
     _check_keys(channel, ("gains", "distances_m", "fading_seed"), "channel")
-    has_gains = "gains" in channel
-    has_dist = "distances_m" in channel
-    if has_gains == has_dist:
+    if ("gains" in channel) == ("distances_m" in channel):
         raise ScenarioError("channel must give exactly one of 'gains' or 'distances_m'")
 
-    if has_gains:
+    record = dict(channel)  # the scenario's own: its lists hold the floats read
+    if "gains" in channel:
         if "fading_seed" in channel:
             raise ScenarioError("fading_seed applies only to distance-based channels")
-        gains = _numbers(channel["gains"], n, "channel.gains")
-        if np.any(gains <= 0):
-            raise ScenarioError("channel gains must be positive")
+        gains = _column("channel.gains", channel["gains"], n, checked=False)
     else:
         spec = channel["distances_m"]
         if isinstance(spec, dict):
             _check_keys(spec, ("linspace",), "channel.distances_m")
-            lo, hi = _numbers(spec.get("linspace"), 2, "channel.distances_m.linspace")
+            ends = _column("channel.distances_m.linspace", spec.get("linspace"), 2, checked=False)
             with np.errstate(invalid="ignore"):  # a non-finite end gives NaN, rejected below
-                distances = np.linspace(lo, hi, n)
+                distances = np.linspace(*ends, n)
+            record["distances_m"] = {"linspace": ends.tolist()}
         else:
-            distances = _numbers(spec, n, "channel.distances_m")
-        seed = channel.get("fading_seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-            raise ScenarioError(f"channel.fading_seed must be a nonnegative integer, not {seed!r}")
+            distances = _column("channel.distances_m", spec, n, checked=False)
         try:
-            gains = generate_channel_gains(distances, seed)
-        except ValueError as exc:
-            raise ScenarioError(f"channel.distances_m: {exc}") from exc
+            gains = generate_channel_gains(distances, channel.get("fading_seed"))
+        except ValueError as exc:  # the message leads with the argument's name
+            raise ScenarioError(f"channel.{exc}") from exc
 
-    try:
-        devices = build_table(gains)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    channel_record = {k: (list(map(float, v)) if isinstance(v, (list, tuple)) else v)
-                      for k, v in channel.items()}
-    return Scenario(system=system, devices=devices, channel=channel_record, label=label)
+    devices = build_table(gains)
+    for key in ("gains", "distances_m"):  # each entry is a number, and float(x) is x for a float
+        if isinstance(record.get(key), (list, tuple)):
+            record[key] = list(map(float, record[key]))
+    return Scenario(system=system, devices=devices, channel=record, label=label)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -298,7 +289,7 @@ def _override(scenario: Scenario, param: str, value: float) -> Scenario:
     return replace(scenario, system=replace(scenario.system, **{param: value}))
 
 
-def validate_sweep(scenario: Scenario, sweep: SweepSpec) -> None:
+def validate_sweep(sweep: SweepSpec) -> None:
     """Raise ValueError, naming the field, if a sweep value breaks the field's rule."""
     for value in sweep.values:
         check_number(sweep.param, value)
@@ -343,7 +334,7 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, algorithms: Sequence[str],
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    validate_sweep(scenario, sweep)
+    validate_sweep(sweep)
     results: List[SweepResult] = []
     for value in sweep.values:
         cell_scenario = _override(scenario, sweep.param, value)

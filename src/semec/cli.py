@@ -52,9 +52,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.sweep is not None:
-            validate_sweep(scenario, args.sweep)
-    except (OSError, ValueError) as exc:  # ScenarioError, or a sweep value
-        print(f"error: {exc}", file=sys.stderr)
+            validate_sweep(args.sweep)
+    except (OSError, ValueError, MemoryError) as exc:  # a bad scenario, sweep value or count
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
 
     algorithms = args.algorithm or ["semantic"]

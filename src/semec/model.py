@@ -47,28 +47,31 @@ _RULES = {
     **{name: (_TINY, _HUGE, "must be finite and positive")
        for name in ("intensity", "energy_coeff", "f_local_max", "p_tx_max", "energy_budget",
                     "channel_gain", "bandwidth_hz", "f_mec_total", "eps_outer", "f_local",
-                    "f_remote", "step")},
+                    "f_remote", "step", "distances_m")},
     **{name: (_TINY, 1.0, "must lie in (0, 1]") for name in ("beta_min", "beta")},
     # device overrides and system fields alike
     **{name: (_TINY, _HUGE, "must be finite and positive when given") for name in _OVERRIDES},
     **{name: (-_HUGE, _HUGE, "must be finite")
        for name in ("noise_psd_dbm_hz", "variable_bounds")},
-    "max_outer_iters": (1, _HUGE, "must be a positive integer"),
-    **{name: (0, _HUGE, "must be a nonnegative integer") for name in ("n_probes", "seed")},
+    # the counts: an integer passes, a bool does not
+    **{name: (1, _HUGE, "must be a positive integer")
+       for name in ("max_outer_iters", "devices.count", "system.n_devices")},
+    **{name: (0, _HUGE, "must be a nonnegative integer")
+       for name in ("n_probes", "seed", "fading_seed")},
     "resolution_per_axis": (8, _HUGE, "must be an integer of at least 8"),
 }
-_COUNTS = ("max_outer_iters", "n_probes", "seed", "resolution_per_axis")  # integers, no bools
+_COUNTS = tuple(name for name, rule in _RULES.items() if "integer" in rule[2])
 
 
 def check_number(name: str, value: object) -> None:
     """Raise ValueError, ``<name> <rule>``, unless ``value`` obeys the rule of ``name``:
-    a real number, or for a count an integer that is no bool, in its range.
+    a real number that is no bool, or for a count an integer, in its range.
     """
     lo, hi, message = _RULES[name]
     if name in _COUNTS:
         number = isinstance(value, Integral) and not isinstance(value, bool)
-    else:  # exact floats skip the slower abstract type test
-        number = type(value) is float or isinstance(value, Real)
+    else:  # exact floats skip the slower abstract type tests
+        number = type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
     try:
         admitted = number and lo <= value <= hi
     except OverflowError:  # an integer beyond every float
@@ -136,11 +139,7 @@ def _checked(columns: Dict[str, object], n: int) -> Dict[str, np.ndarray]:
         if name in _OVERRIDES and isinstance(values, (list, tuple)):
             given[row] = [v is not None for v in values]
             values = [0.0 if v is None else v for v in values]
-        array = _numbers(values)
-        if array.shape not in ((), (n,)):
-            got = len(array) if array.ndim == 1 else f"an array of shape {array.shape}"
-            raise ValueError(f"{name} must list {n} numbers, not {got}")
-        matrix[row] = array
+        matrix[row] = _column(name, values, n, checked=False, fill=True)
     return _validated(names, matrix, given)
 
 
@@ -153,13 +152,31 @@ def _number(value: object) -> float:
 
 
 def _numbers(values: object) -> np.ndarray:
-    """``values`` as an array of numbers, where an entry that is no real
-    number reads as NaN and so fails its rule."""
-    array = np.asarray(values)
-    if array.dtype.kind in "biuf":
-        return array
-    return np.vectorize(lambda v: _number(v) if isinstance(v, Real) else math.nan,
-                        otypes=[float])(np.asarray(values, dtype=object))
+    """``values`` as an array of numbers; an entry that is no real number (a string, a
+    nested list, or a bool numpy did not read among floats) is NaN and fails its rule."""
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind in "iuf":
+            return array
+    except ValueError:  # ragged nesting
+        pass
+    return np.vectorize(lambda v: _number(v) if isinstance(v, Real) and not isinstance(v, bool)
+                        else math.nan, otypes=[float])(np.asarray(values, dtype=object))
+
+
+def _column(name: str, values: object, n: int, checked: bool = True,
+            fill: bool = False) -> np.ndarray:
+    """``values``, ``n`` numbers named ``name``, as a float64 array, or with
+    ``fill`` one number for all; ValueError for another shape and, if
+    ``checked``, unless every entry obeys its rule."""
+    column = _numbers(values).astype(float, copy=False)
+    if column.shape != (n,) and not (fill and column.ndim == 0):
+        got = len(column) if column.ndim == 1 else f"an array of shape {column.shape}"
+        raise ValueError(f"{name} must list {n} numbers, not {got}")
+    if checked and n:  # every entry obeys the rule iff both extremes do; NaN reaches both
+        check_number(name, column.min())
+        check_number(name, column.max())
+    return column
 
 
 def _validated(names: Sequence[str], matrix: np.ndarray,
@@ -343,16 +360,17 @@ class Allocation:
 def generate_channel_gains(
     distances_m: Sequence[float], fading_seed: Optional[int] = None
 ) -> np.ndarray:
-    """Linear uplink power gains for the given distances.
+    """Linear uplink power gains for distances in metres, by the path loss
+    128.1 + 37.6 log10(d / 1 km) dB, optionally times a unit-mean exponential
+    fading draw from a seeded generator, so equal inputs give equal gains.
 
-    Optionally multiplies each gain by a unit-mean exponential fading draw
-    from a seeded generator, so identical (distances, seed) inputs always
-    yield identical gains. Raises ValueError for a distance that is not
-    finite and positive, or so short or long that its gain is not.
+    The distances and the seed obey their rules (:func:`check_number`), and a
+    distance so short or long that its gain is not finite and positive
+    raises ValueError too.
     """
-    d = np.asarray(distances_m, dtype=float)
-    if not np.all((0.0 < d) & (d < math.inf)):
-        raise ValueError("distances must be finite and positive")
+    d = _column("distances_m", distances_m, len(distances_m))
+    if fading_seed is not None:
+        check_number("fading_seed", fading_seed)
     losses = 128.1 + 37.6 * np.log10(d / 1000.0)
     with np.errstate(over="ignore"):
         gains = 10.0 ** (-losses / 10.0)
@@ -360,5 +378,5 @@ def generate_channel_gains(
             rng = np.random.default_rng(fading_seed)
             gains = gains * rng.exponential(1.0, size=d.shape)
     if not np.all((0.0 < gains) & (gains < math.inf)):
-        raise ValueError("distances must give finite and positive channel gains")
+        raise ValueError("distances_m must give finite and positive channel gains")
     return gains

@@ -47,7 +47,7 @@ import numpy as np
 
 from .closed_forms import (_LN2, _bits_carried, _extraction_energy, _powers,
                            _remote_cycles, _Scenario, _t_local, _t_remote)
-from .model import (_numbers, Allocation, DeviceTable, SystemConfig, TerminalDevice,
+from .model import (_column, Allocation, DeviceTable, SystemConfig, TerminalDevice,
                     check_number)
 
 __all__ = [
@@ -384,16 +384,6 @@ def _refine_block(sc: _Scenario, beta, f_local, f_remote) -> np.ndarray:
 # --- public operations ------------------------------------------------------
 
 
-def _input_column(name: str, values: Sequence[float], n: int) -> np.ndarray:
-    column = _numbers(values).astype(float, copy=False)
-    if column.shape != (n,):
-        raise ValueError(f"{name} must list {n} numbers, not an array of shape {column.shape}")
-    if n:  # every entry obeys the rule iff both extremes do; NaN reaches both
-        check_number(name, column.min())
-        check_number(name, column.max())
-    return column
-
-
 def _read_allocation(tds: Sequence[TerminalDevice], alloc: Allocation, cfg: SystemConfig,
                      extraction: bool = True):
     """The scenario and the closed forms at an allocation: beta**k, the local
@@ -473,9 +463,9 @@ def remote_rate_bisection(tds: Sequence[TerminalDevice], beta: Sequence[float],
     Newton solve, which has no tolerance to set.
     """
     sc = _Scenario(tds, cfg)
-    beta_k, beta_1mp = _powers(sc, _input_column("beta", beta, sc.n))
-    start = _t_local(sc, beta_k, _input_column("f_local", f_local, sc.n))
-    start += _input_column("t_transmit", t_transmit, sc.n)
+    beta_k, beta_1mp = _powers(sc, _column("beta", beta, sc.n))
+    start = _t_local(sc, beta_k, _column("f_local", f_local, sc.n))
+    start += _column("t_transmit", t_transmit, sc.n)
     return _remote_block(sc, _remote_cycles(sc, beta_1mp), start)
 
 

@@ -47,3 +47,12 @@ def test_every_config_field_has_a_rule():
     names = [f.name for cls in (semec.TerminalDevice, semec.SystemConfig)
              for f in dataclasses.fields(cls)]
     assert [name for name in names if name not in semec.model._RULES] == []
+
+
+def test_every_scenario_number_has_a_rule():
+    # each number a scenario file holds outside the device and system fields,
+    # and the rule that checks it
+    rules = {"devices.count": "devices.count", "system.n_devices": "system.n_devices",
+             "channel.fading_seed": "fading_seed", "channel.gains": "channel_gain",
+             "channel.distances_m": "distances_m"}
+    assert [key for key, rule in rules.items() if rule not in semec.model._RULES] == []

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import semec.bench
+import semec.cli
 from semec import (
     ScenarioError,
     SweepSpec,
@@ -87,7 +88,8 @@ class TestLoadScenario:
         (minimal_doc(devices={"count": 2}), "devices mapping needs a 'uniform' template"),
         (minimal_doc(devices="reference"), "devices must be a list or a uniform template mapping"),
         ({k: v for k, v in minimal_doc().items() if k != "channel"}, "channel section is required"),
-        (minimal_doc(channel={"gains": [1e-10, 0.0]}), "channel gains must be positive"),
+        (minimal_doc(channel={"gains": [1e-10, 0.0]}),
+         "devices[1]: channel_gain must be finite and positive"),
     ], ids=["no-uniform-template", "devices-string", "no-channel", "zero-gain"])
     def test_section_errors_name_the_rule(self, doc, message):
         with pytest.raises(ScenarioError) as exc:
@@ -175,6 +177,50 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="^" + re.escape(message)):
             scenario_from_dict(minimal_doc(**overrides))
 
+    @pytest.mark.parametrize("overrides,message", [
+        *(pytest.param({"system": {}, "devices": {"uniform": {}, "count": value}},
+                       "devices.count must be a positive integer", id=f"count-{name}")
+          for name, value in (("10**400", 10**400), ("True", True), ("2.5", 2.5), ("-1", -1))),
+        *(pytest.param({"system": {"n_devices": value}, "devices": {"uniform": {}}},
+                       "system.n_devices must be a positive integer", id=f"n-devices-{name}")
+          for name, value in (("10**400", 10**400), ("2.5", 2.5), ("-1", -1))),
+        # a bool is no number to any section
+        pytest.param({"system": {"n_devices": True}, "devices": {"uniform": {}}},
+                     "system.n_devices must be a number, not True", id="n-devices-True"),
+        *(pytest.param({"channel": {"distances_m": [120.0, 200.0], "fading_seed": value}},
+                       "channel.fading_seed must be a nonnegative integer", id=f"seed-{name}")
+          for name, value in (("10**400", 10**400), ("True", True), ("2.5", 2.5), ("-1", -1))),
+        pytest.param({"channel": {"gains": [10**400, 1e-10]}},
+                     "devices[0]: channel_gain must be finite and positive", id="gains-10**400"),
+        pytest.param({"channel": {"distances_m": [10**400, 200.0]}},
+                     "channel.distances_m must be finite and positive", id="distances-10**400"),
+        pytest.param({"channel": {"distances_m": [120.0, "200"]}},
+                     "channel.distances_m must be finite and positive", id="distances-string"),
+    ])
+    def test_every_number_obeys_its_rule(self, overrides, message):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(minimal_doc(**overrides))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("channel,path", [
+        ({"distances_m": {"linspace": [120.0, 200.0]}}, ("distances_m", "linspace")),
+        ({"distances_m": [120.0, 200.0]}, ("distances_m",)),
+        ({"gains": [2e-10, 1e-10]}, ("gains",)),
+    ], ids=["linspace", "distances", "gains"])
+    def test_channel_record_is_the_scenarios_own(self, channel, path, tmp_path):
+        # a change to the document after loading reaches neither the scenario nor its dump
+        doc = minimal_doc(channel=channel)
+        scn = scenario_from_dict(doc)
+        before = scenario_to_dict(scn)
+        numbers = doc["channel"]
+        for key in path:
+            numbers = numbers[key]
+        numbers[0] = 999
+        assert scenario_to_dict(scn) == before
+        out = tmp_path / "dump.json"
+        dump_scenario(scn, out)
+        assert load_scenario(out) == scn
+
     def test_declared_device_count_is_optional(self):
         scn = scenario_from_dict(minimal_doc(system={}))
         assert scn == scenario_from_dict(minimal_doc())
@@ -184,7 +230,7 @@ class TestLoadScenario:
     def test_distance_errors_name_the_distances(self, distances):
         doc = json.loads('{"system": {}, "devices": {"uniform": {}, "count": 2}, '
                          '"channel": {"distances_m": ' + distances + '}}')
-        with pytest.raises(ScenarioError, match=r"^channel\.distances_m: distances"):
+        with pytest.raises(ScenarioError, match=r"^channel\.distances_m must "):
             scenario_from_dict(doc)
 
     def test_null_sem_override_defers_to_system(self):
@@ -425,6 +471,31 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: system: ") and field in err
+        assert not out.exists()
+
+    def test_count_no_float_holds_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        doc = json.loads(SCENARIO_PATH.read_text())
+        doc["devices"]["count"] = 10**400
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "huge.csv"
+        assert cli_main(["--scenario", str(scenario), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: devices.count must be a positive integer\n"
+        assert not out.exists()
+
+    def test_count_no_array_holds_is_an_error_not_a_traceback(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # a count the rule admits may still be too large to allocate; whether
+        # numpy fails fast depends on the host, so the load is stubbed
+        def load(path):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000000,) and data type float64")
+
+        monkeypatch.setattr(semec.cli, "load_scenario", load)
+        out = tmp_path / "huge.csv"
+        assert cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 7.28 TiB") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--eps1", "--eps2", "--seed", "--eps-outer",

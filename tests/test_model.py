@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import multi_device_draw, semantic_constants
 from semec import (
     Allocation,
+    DeviceTable,
     GridSpec,
     SystemConfig,
     TerminalDevice,
@@ -22,6 +23,7 @@ from semec import (
     solve_no_semantic,
     transmit_bisection,
 )
+from semec.model import check_number
 from semec.solver import _bits_carried, _Scenario
 
 
@@ -143,6 +145,10 @@ def _perturbation_certify(**given):
     return perturbation_certify(make_alloc(), [make_device()], CFG, **counts)
 
 
+def _generate_channel_gains(distances_m=100.0, fading_seed=3):
+    return generate_channel_gains([distances_m, 120.0], fading_seed)
+
+
 def _grid_spec(resolution_per_axis=16, variable_bounds=1.0):
     # the number given for the bounds is the uplink-time axis's upper end
     return GridSpec(resolution_per_axis, {"beta": (0.6, 1.0), "f_local": (1e6, 1e9),
@@ -159,8 +165,9 @@ _NAMED_NUMBERS = [
     *((_remote_rate_bisection, name) for name in ("beta", "f_local", "t_transmit")),
     *((_perturbation_certify, name) for name in ("step", "n_probes", "seed")),
     *((_grid_spec, name) for name in ("resolution_per_axis", "variable_bounds")),
+    *((_generate_channel_gains, name) for name in ("distances_m", "fading_seed")),
 ]
-_COUNTS = ("max_outer_iters", "n_probes", "seed", "resolution_per_axis")
+_COUNTS = ("max_outer_iters", "n_probes", "seed", "resolution_per_axis", "fading_seed")
 
 
 @pytest.mark.parametrize("entry,name", _NAMED_NUMBERS,
@@ -172,6 +179,14 @@ def test_every_named_number_obeys_its_rule(entry, name):
     for value in [10**400] + ([True, 8.5] if name in _COUNTS else []):
         with pytest.raises(ValueError, match=f"^{name} must "):
             entry(**{name: value})
+
+
+def test_a_bool_is_no_number():
+    # a column of bools reads as no numbers, so a device field takes none either
+    with pytest.raises(ValueError, match=r"^task_bits must be finite and nonnegative$"):
+        check_number("task_bits", True)
+    with pytest.raises(ValueError, match=r"^devices\[0\]: channel_gain must "):
+        DeviceTable.from_devices([make_device()] * 2).replace(channel_gain=[True, True])
 
 
 def test_remote_rate_columns_take_numbers_only():
@@ -347,6 +362,19 @@ class TestChannel:
     def test_nonpositive_distance(self):
         with pytest.raises(ValueError):
             generate_channel_gains([100.0, -5.0])
+
+    # test_every_named_number_obeys_its_rule gives each 10**400, and the seed
+    # True and a fraction
+    @pytest.mark.parametrize("distances,seed,message", [
+        pytest.param([100.0, "120"], None, "distances_m must be finite and positive",
+                     id="distance-string"),
+        *(pytest.param([100.0], seed, "fading_seed must be a nonnegative integer",
+                       id=f"seed-{seed}") for seed in (2.5, -1)),
+    ])
+    def test_numbers_obey_their_rules(self, distances, seed, message):
+        with pytest.raises(ValueError) as exc:
+            generate_channel_gains(distances, fading_seed=seed)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("distance", [math.nan, math.inf, 1e-300])
     def test_distance_without_finite_gain(self, distance):
