@@ -12,6 +12,7 @@ then checked against it.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -248,7 +249,7 @@ def _scenario(doc: dict) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical plain-dict form; loading it back reproduces the scenario."""
+    """Canonical plain-dict form, the caller's own; loading it back reproduces the scenario."""
     system = {name: getattr(scenario.system, name) for name in _SYSTEM_FIELDS}
     rows = zip(*(getattr(scenario.devices, name).tolist() for name in _ENTRY_FIELDS))
     # a NaN override defers to the system, and the dump leaves it out
@@ -258,7 +259,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "label": scenario.label,
         "system": system,
         "devices": devices,
-        "channel": dict(scenario.channel),
+        "channel": copy.deepcopy(scenario.channel),
     }
 
 

@@ -64,9 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         sweep = args.sweep
 
-    cfg = scenario.system
-    print(f"scenario={scenario.label or args.scenario} devices={len(scenario.devices)} "
-          f"eps_outer={cfg.eps_outer} max_iters={cfg.max_outer_iters}")
+    print(f"scenario={scenario.label or args.scenario} devices={len(scenario.devices)}")
     print(f"sweep={sweep.param}={','.join(repr(v) for v in sweep.values)} "
           f"algorithms={','.join(algorithms)} verify={args.verify}")
 

@@ -36,6 +36,7 @@ _OVERRIDES = ("sem_a", "sem_k", "sem_p")  # per-device; None defers to the syste
 
 _TINY = np.nextafter(0.0, 1.0)  # the least float above zero
 _HUGE = np.finfo(float).max  # the greatest finite float
+_MAX_LENGTH = np.iinfo(np.intp).max // 8  # the most entries a float64 array may hold
 
 # the closed range [lo, hi] each number a caller passes by name must lie in,
 # with open ends written as the nearest float inside them (NaN fails both
@@ -46,16 +47,16 @@ _RULES = {
        for name in ("task_bits", "t_transmit", "e_transmit")},
     **{name: (_TINY, _HUGE, "must be finite and positive")
        for name in ("intensity", "energy_coeff", "f_local_max", "p_tx_max", "energy_budget",
-                    "channel_gain", "bandwidth_hz", "f_mec_total", "eps_outer", "f_local",
-                    "f_remote", "step", "distances_m")},
+                    "channel_gain", "bandwidth_hz", "f_mec_total", "f_local", "f_remote",
+                    "step", "distances_m")},
     **{name: (_TINY, 1.0, "must lie in (0, 1]") for name in ("beta_min", "beta")},
     # device overrides and system fields alike
     **{name: (_TINY, _HUGE, "must be finite and positive when given") for name in _OVERRIDES},
     **{name: (-_HUGE, _HUGE, "must be finite")
        for name in ("noise_psd_dbm_hz", "variable_bounds")},
     # the counts: an integer passes, a bool does not
-    **{name: (1, _HUGE, "must be a positive integer")
-       for name in ("max_outer_iters", "devices.count", "system.n_devices")},
+    **{name: (1, _MAX_LENGTH, "must be a positive integer")
+       for name in ("devices.count", "system.n_devices")},
     **{name: (0, _HUGE, "must be a nonnegative integer")
        for name in ("n_probes", "seed", "fading_seed")},
     "resolution_per_axis": (8, _HUGE, "must be an integer of at least 8"),
@@ -153,10 +154,12 @@ def _number(value: object) -> float:
 
 def _numbers(values: object) -> np.ndarray:
     """``values`` as an array of numbers; an entry that is no real number (a string, a
-    nested list, or a bool numpy did not read among floats) is NaN and fails its rule."""
+    nested list, or a bool, which numpy reads as 0 or 1) is NaN and fails its rule."""
     try:
         array = np.asarray(values)
-        if array.dtype.kind in "iuf":
+        # one pass in C over a list's entry types finds a bool among numbers
+        if array.dtype.kind in "iuf" and (not isinstance(values, (list, tuple))
+                                          or {bool, np.bool_}.isdisjoint(set(map(type, values)))):
             return array
     except ValueError:  # ragged nesting
         pass
@@ -298,14 +301,14 @@ class DeviceTable(Sequence):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Scenario-wide parameters and outer-loop tolerances.
+    """The scenario-wide numbers of the problem.
 
     ``noise_psd_dbm_hz`` is a power spectral density; the rate formula uses
     the integrated noise power over one sub-channel of ``bandwidth_hz``.
     Defaults reproduce the reference simulation setup. Every field obeys
     its rule in the one table that :func:`check_number` reads. The device
-    count is the length of the device sequence, and the inner solves run to
-    machine precision, so neither has a field here.
+    count is the length of the device sequence, and the solver's stopping
+    rule is its own, so neither has a field here.
     """
 
     bandwidth_hz: float = 1e6
@@ -314,8 +317,6 @@ class SystemConfig:
     sem_a: float = 1e-5
     sem_k: float = 4.0
     sem_p: float = 3.0
-    eps_outer: float = 1e-6
-    max_outer_iters: int = 100
 
     def __post_init__(self) -> None:
         for f in fields(self):

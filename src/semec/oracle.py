@@ -296,25 +296,22 @@ _SERVER_AXIS = 2  # f_remote in a (5, n) probe
 
 
 def _directions(start: int, stop: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit probe directions ``start`` to ``stop - 1``, shaped ``(rows, 5, n)``.
+    """Unit directions ``start`` to ``stop - 1`` of the dense probes, shaped ``(rows, 5, n)``.
 
-    The structured family comes first: plus and minus the joint (beta,
-    t_transmit, e_transmit) direction over all devices, plus and minus all
-    f_remote (which improves wherever server capacity is left unused), then
-    the joint pair on each of the first 32 devices alone. The
-    deliverable-bits constraint is 1-homogeneous in (time, energy), so
+    The four that move every device come first: plus and minus the joint
+    (beta, t_transmit, e_transmit) direction over all devices, plus and minus
+    all f_remote (which improves wherever server capacity is left unused).
+    The deliverable-bits constraint is 1-homogeneous in (time, energy), so
     scaling the factor and the uplink pair together walks exactly along a
-    tight rate constraint; these directions expose suboptimal points whose
-    improving cone is too narrow for isotropic sampling to hit. Isotropic
-    Gaussian draws from ``rng`` follow.
+    tight rate constraint; these directions, and the pair on each of the
+    first 32 devices alone, which needs no row, expose suboptimal points
+    whose improving cone is too narrow for isotropic sampling to hit.
+    Isotropic Gaussian draws from ``rng`` follow.
     """
-    n_structured = 4 + 2 * min(n, _STRUCTURED_DEVICES)
     z = np.zeros((stop - start, 5, n))
-    for row, index in enumerate(range(start, min(stop, n_structured))):
-        axes = _SERVER_AXIS if 2 <= index < 4 else _UPLINK_AXES
-        devices = slice(None) if index < 4 else (index - 4) // 2
-        z[row, axes, devices] = 1.0 if index % 2 == 0 else -1.0
-    drawn = stop - max(start, n_structured)
+    for row, index in enumerate(range(start, min(stop, _SHARED_PROBES))):
+        z[row, _SERVER_AXIS if index >= 2 else _UPLINK_AXES] = 1.0 if index % 2 == 0 else -1.0
+    drawn = stop - max(start, _SHARED_PROBES)
     if drawn > 0:
         z[-drawn:] = rng.standard_normal((drawn, 5 * n)).reshape(drawn, 5, n)
     # one dot product per row, the rounding of np.linalg.norm on a vector
@@ -324,14 +321,14 @@ def _directions(start: int, stop: int, n: int, rng: np.random.Generator) -> np.n
 
 
 @functools.lru_cache(maxsize=1)
-def _sweep_directions(n: int, n_probes: int, seed: int) -> np.ndarray:
-    """All ``n_probes`` unit directions at once, read-only.
+def _sweep_directions(n: int, dense: int, seed: int) -> np.ndarray:
+    """All ``dense`` unit directions of the dense probes at once, read-only.
 
-    Used only when they fit in one block, so the cached array stays within
-    ``_BLOCK_ENTRIES`` entries. The cells of a sweep share (n, n_probes,
+    Used only when every probe fits in one block, so the cached array stays
+    within ``_BLOCK_ENTRIES`` entries. The cells of a sweep share (n, dense,
     seed), so they draw the set once.
     """
-    units = _directions(0, n_probes, n, np.random.default_rng(seed))
+    units = _directions(0, dense, n, np.random.default_rng(seed))
     units.flags.writeable = False
     return units
 
@@ -435,9 +432,9 @@ def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
     one), so memory stays bounded whatever ``n_probes`` is. Each block first
     computes only the factor coordinates and drops the rows that leave the
     factor box, which no feasible probe does; only the other rows are built
-    in full. When every direction fits in one block, the set depends only on
-    (n, n_probes, seed), and the last such set is cached read-only, so the
-    cells of a sweep draw it once.
+    in full. When every probe fits in one block, the dense directions depend
+    only on (n, n_probes, seed), and the last such set is cached read-only,
+    so the cells of a sweep draw it once.
 
     By the package's one rule table, ``step`` is finite and positive and
     ``n_probes`` and ``seed`` are nonnegative integers (no bool), an integer
@@ -464,16 +461,16 @@ def perturbation_certify(alloc: Allocation, tds: Sequence[TerminalDevice],
     shared = min(_SHARED_PROBES, n_probes)
     structured = min(_SHARED_PROBES + 2 * min(n, _STRUCTURED_DEVICES), n_probes)
     rows = max(1, _BLOCK_ENTRIES // (5 * max(n, 1)))
+    dense = shared + n_probes - structured  # no row moves one device alone
     if 0 < n_probes <= rows:
-        units = _sweep_directions(n, n_probes, seed)
-        shared_blocks, drawn_blocks = [units[:shared]], [units[structured:]]
+        units = _sweep_directions(n, dense, seed)
+        shared_blocks, drawn_blocks = [units[:shared]], [units[shared:]]
     else:
-        # the structured rows draw nothing, so the draws keep their order
         rng = np.random.default_rng(seed)
         shared_blocks = (_directions(start, min(start + rows, shared), n, rng)
                          for start in range(0, shared, rows))
-        drawn_blocks = (_directions(start, min(start + rows, n_probes), n, rng)
-                        for start in range(structured, n_probes, rows))
+        drawn_blocks = (_directions(start, min(start + rows, dense), n, rng)
+                        for start in range(shared, dense, rows))
     return not (any(probes.dense_improves(units) for units in shared_blocks)
                 or probes.single_device_improves(structured)
                 or any(probes.dense_improves(units) for units in drawn_blocks))

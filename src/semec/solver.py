@@ -33,7 +33,7 @@ The raw-upload baseline is the loop's start point without extraction.
 
 Every inner solve runs to relative machine precision and ends on the
 feasible side of its float constraint, so no inner solve has a tolerance;
-only the outer loop's ``eps_outer`` and ``max_outer_iters`` are set.
+the outer loop stops on this module's ``_EPS_OUTER`` and ``_MAX_OUTER_ITERS``.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ __all__ = [
 _MAX_ITERS = 100  # cap on every Newton loop
 _MAX_NUDGES = 64  # cap on the steps onto the feasible side of a float predicate
 _ULPS = 4.0 * np.finfo(float).eps  # relative stopping step, and the first nudge
+_EPS_OUTER = 1e-6  # the relative objective change at which the outer loop stops
+_MAX_OUTER_ITERS = 100  # cap on the outer loop
 
 
 class FeasibilityCause(Enum):
@@ -543,11 +545,11 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
     """Run the full alternating optimization on a scenario from its start point.
 
     Returns a monotonically non-increasing objective trace; convergence is
-    declared when the relative objective change drops below ``eps_outer``,
+    declared when the relative objective change drops to 1e-6 or below,
     or when a step would raise the objective, which only rounding does: the
     incumbent is kept and the step is left out of the trace.
-    Infeasible scenarios raise :class:`FeasibilityError`; hitting the outer
-    iteration cap reports ``converged=False`` instead of raising.
+    Infeasible scenarios raise :class:`FeasibilityError`; hitting the cap of
+    100 outer iterations reports ``converged=False`` instead of raising.
     """
     sc = _Scenario(tds, cfg)
     if not np.any(sc.active):
@@ -555,7 +557,7 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
     alloc = _start(sc)
     trace = [alloc.t_epigraph]
     converged = False
-    for iterations in range(1, cfg.max_outer_iters + 1):
+    for iterations in range(1, _MAX_OUTER_ITERS + 1):
         # the incumbent factor stays feasible: the rate block leaves the uplink its energy
         beta = _refine_block(sc, alloc.beta, alloc.f_local, alloc.f_remote)
         candidate = _rate_block(sc, beta, alloc.f_local)
@@ -565,7 +567,7 @@ def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:
             break
         alloc = candidate
         trace.append(alloc.t_epigraph)
-        if abs(trace[-1] - trace[-2]) <= cfg.eps_outer * max(abs(trace[-1]), 1e-300):
+        if abs(trace[-1] - trace[-2]) <= _EPS_OUTER * max(abs(trace[-1]), 1e-300):
             converged = True
             break
     return SolverReport(alloc, trace, iterations, converged)

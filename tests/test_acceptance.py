@@ -28,6 +28,7 @@ from semec import (
     solve_no_semantic,
     reference_scenario,
 )
+from semec import solver
 from semec.bench import scenario_from_dict
 
 
@@ -123,7 +124,7 @@ def test_c4_monotone_outer_descent_and_convergence():
         if extra.size > 1:
             worst_rise = max(worst_rise, float(np.diff(extra).max()))
     ok = (report.converged and report.iterations <= 20
-          and report.iterations <= scn.system.max_outer_iters and worst_rise <= 1e-12)
+          and report.iterations <= solver._MAX_OUTER_ITERS and worst_rise <= 1e-12)
     _report("C4", "monotone-descent", ok,
             f"iterations {report.iterations} of 20, worst trace rise {worst_rise:.2e}")
     assert ok

@@ -1,3 +1,4 @@
+import copy
 import csv
 import importlib
 import importlib.util
@@ -141,10 +142,13 @@ class TestLoadScenario:
             "system-field-word": {"system": {"n_devices": "two"}},
             "system-field-numeric-string": {"system": {"n_devices": 2, "sem_a": "1e-5"}},
             "system-field-null": {"system": {"n_devices": 2, "sem_p": None}},
-            "system-iteration-cap-fraction": {"system": {"n_devices": 2, "max_outer_iters": 2.5}},
             "removed-eps-bisect-transmit": {"system": {"n_devices": 2,
                                                        "eps_bisect_transmit": 1e-7}},
             "removed-eps-bisect-capacity": {"system": {"eps_bisect_capacity": 1e-7}},
+            "removed-eps-outer": {"system": {"n_devices": 2, "eps_outer": 1e-6}},
+            "removed-max-outer-iters": {"system": {"max_outer_iters": 100}},
+            "mixed-bool-gains": {"channel": {"gains": [True, 2e-10]}},
+            "mixed-bool-distances": {"channel": {"distances_m": [True, 200.0]}},
             "n-devices-zero": {"system": {"n_devices": 0}},
             "n-devices-negative": {"system": {"n_devices": -1}},
             "n-devices-fraction": {"system": {"n_devices": 2.5}},
@@ -180,10 +184,12 @@ class TestLoadScenario:
     @pytest.mark.parametrize("overrides,message", [
         *(pytest.param({"system": {}, "devices": {"uniform": {}, "count": value}},
                        "devices.count must be a positive integer", id=f"count-{name}")
-          for name, value in (("10**400", 10**400), ("True", True), ("2.5", 2.5), ("-1", -1))),
+          for name, value in (("10**400", 10**400), ("True", True), ("2.5", 2.5), ("-1", -1),
+                              ("2**60", 2**60), ("2**63-1", 2**63 - 1))),
         *(pytest.param({"system": {"n_devices": value}, "devices": {"uniform": {}}},
                        "system.n_devices must be a positive integer", id=f"n-devices-{name}")
-          for name, value in (("10**400", 10**400), ("2.5", 2.5), ("-1", -1))),
+          for name, value in (("10**400", 10**400), ("2.5", 2.5), ("-1", -1),
+                              ("2**63-1", 2**63 - 1))),
         # a bool is no number to any section
         pytest.param({"system": {"n_devices": True}, "devices": {"uniform": {}}},
                      "system.n_devices must be a number, not True", id="n-devices-True"),
@@ -220,6 +226,24 @@ class TestLoadScenario:
         out = tmp_path / "dump.json"
         dump_scenario(scn, out)
         assert load_scenario(out) == scn
+
+    @pytest.mark.parametrize("channel,path", [
+        ({"distances_m": {"linspace": [120.0, 200.0]}}, ("distances_m", "linspace")),
+        ({"distances_m": [120.0, 200.0]}, ("distances_m",)),
+        ({"gains": [2e-10, 1e-10]}, ("gains",)),
+    ], ids=["linspace", "distances", "gains"])
+    def test_dump_is_the_callers_own(self, channel, path):
+        # a change to the dump reaches neither the scenario nor a later dump
+        scn = scenario_from_dict(minimal_doc(channel=channel))
+        record = copy.deepcopy(scn.channel)
+        before = scenario_to_dict(scn)
+        dump = scenario_to_dict(scn)
+        numbers = dump["channel"]
+        for key in path:
+            numbers = numbers[key]
+        numbers[0] = 999.0
+        assert scn.channel == record
+        assert scenario_to_dict(scn) == before
 
     def test_declared_device_count_is_optional(self):
         scn = scenario_from_dict(minimal_doc(system={}))
@@ -457,11 +481,14 @@ class TestCli:
         assert err.startswith("error: ") and field in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field,value", [("max_outer_iters", 0), ("eps_outer", 0),
-                                             pytest.param("f_mec_total", 10**400,
-                                                          id="f_mec_total-10**400")])
+    @pytest.mark.parametrize("field,value,message", [
+        # the outer loop's tolerance and cap are the solver's constants now
+        pytest.param(field, 0, f"unknown field(s) ['{field}'] in system", id=f"{field}-0")
+        for field in ("max_outer_iters", "eps_outer")
+    ] + [pytest.param("f_mec_total", 10**400, "system: f_mec_total must be finite and positive",
+                      id="f_mec_total-10**400")])
     def test_bad_scenario_value_is_an_error_not_a_traceback(self, tmp_path, capsys, field,
-                                                            value):
+                                                            value, message):
         doc = json.loads(SCENARIO_PATH.read_text())
         doc["system"][field] = value
         scenario = tmp_path / "bad.json"
@@ -469,13 +496,25 @@ class TestCli:
         out = tmp_path / "bad.csv"
         code = cli_main(["--scenario", str(scenario), "--out", str(out)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: system: ") and field in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_count_no_float_holds_is_an_error_not_a_traceback(self, tmp_path, capsys):
         doc = json.loads(SCENARIO_PATH.read_text())
         doc["devices"]["count"] = 10**400
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "huge.csv"
+        assert cli_main(["--scenario", str(scenario), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: devices.count must be a positive integer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [2**60, 2**63 - 1], ids=["2**60", "2**63-1"])
+    def test_count_beyond_every_array_is_an_error_not_a_traceback(self, tmp_path, capsys,
+                                                                  count):
+        # the rule rejects the count before the linspace channel builds an array
+        doc = json.loads(SCENARIO_PATH.read_text())
+        doc["devices"]["count"] = count
         scenario = tmp_path / "huge.json"
         scenario.write_text(json.dumps(doc))
         out = tmp_path / "huge.csv"

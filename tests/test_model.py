@@ -70,8 +70,10 @@ class TestValidation:
             make_device(channel_gain=-1e-10)
 
     def test_config_tolerances(self):
-        with pytest.raises(ValueError):
-            SystemConfig(eps_outer=0.0)
+        # the outer loop's tolerance and cap are the solver's constants
+        for name in ("eps_outer", "max_outer_iters"):
+            with pytest.raises(TypeError):
+                SystemConfig(**{name: 1})
 
     def test_device_count_is_not_a_field(self):
         # the count is the length of the device sequence
@@ -87,8 +89,7 @@ class TestValidation:
                 make_device(**{name: value})
 
     @pytest.mark.parametrize("name", ["bandwidth_hz", "noise_psd_dbm_hz", "f_mec_total",
-                                      "sem_a", "sem_k", "sem_p", "eps_outer",
-                                      "max_outer_iters"])
+                                      "sem_a", "sem_k", "sem_p"])
     def test_config_fields_must_be_finite(self, name):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
@@ -103,7 +104,7 @@ class TestValidation:
                 make_device(**{name: value})
 
     @pytest.mark.parametrize("name", ["bandwidth_hz", "noise_psd_dbm_hz", "f_mec_total",
-                                      "sem_a", "sem_k", "sem_p", "eps_outer"])
+                                      "sem_a", "sem_k", "sem_p"])
     def test_config_fields_must_be_numbers(self, name):
         for value in ("0.5", 0.5j, [0.5]):
             with pytest.raises(ValueError, match=name):
@@ -167,7 +168,7 @@ _NAMED_NUMBERS = [
     *((_grid_spec, name) for name in ("resolution_per_axis", "variable_bounds")),
     *((_generate_channel_gains, name) for name in ("distances_m", "fading_seed")),
 ]
-_COUNTS = ("max_outer_iters", "n_probes", "seed", "resolution_per_axis", "fading_seed")
+_COUNTS = ("n_probes", "seed", "resolution_per_axis", "fading_seed")
 
 
 @pytest.mark.parametrize("entry,name", _NAMED_NUMBERS,
@@ -187,6 +188,11 @@ def test_a_bool_is_no_number():
         check_number("task_bits", True)
     with pytest.raises(ValueError, match=r"^devices\[0\]: channel_gain must "):
         DeviceTable.from_devices([make_device()] * 2).replace(channel_gain=[True, True])
+    # numpy reads a bool among numbers as 0 or 1; the column reader does not
+    columns = {f.name: getattr(make_device(), f.name) for f in fields(TerminalDevice)}
+    for gains in ([True, 2e-10], [2e-10, np.True_], (2e-10, True)):
+        with pytest.raises(ValueError, match=r"^devices\[\d\]: channel_gain must "):
+            DeviceTable(**{**columns, "channel_gain": gains})
 
 
 def test_remote_rate_columns_take_numbers_only():

@@ -395,7 +395,8 @@ class TestPerturbationCertify:
         for _ in range(2):
             assert perturbation_certify(report.allocation, reference.devices,
                                         reference.system, n_probes=200, step=1e-3, seed=5)
-        assert calls == [(0, 200, 10)]
+        # 4 all-device rows and 176 draws; the 20 one-device probes build no row
+        assert calls == [(0, 180, 10)]
         _sweep_directions.cache_clear()
 
     def test_cached_directions_read_only(self, reference):
@@ -403,10 +404,12 @@ class TestPerturbationCertify:
         report = solve(reference.devices, reference.system)
         assert perturbation_certify(report.allocation, reference.devices, reference.system,
                                     n_probes=200, step=1e-3, seed=5)
-        cached = _sweep_directions(10, 200, 5)
+        cached = _sweep_directions(10, 180, 5)
+        assert _sweep_directions.cache_info().hits == 1
         assert cached.flags.writeable is False
         assert cached.nbytes <= 8 * 2**14
-        assert np.array_equal(cached, _directions(0, 200, 10, np.random.default_rng(5)))
+        expected = np.array(list(probe_directions(10, 200, seed=5)))
+        assert np.array_equal(cached, np.concatenate([expected[:4], expected[24:]]))
         with pytest.raises(ValueError):
             cached[0, 0, 0] = 1.0
         _sweep_directions.cache_clear()
@@ -480,11 +483,14 @@ def certify_draws(draw):
 class TestCertifyMatchesLoop:
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 300])
     def test_same_probe_directions(self, n):
-        # blocks of 7 rows cut the structured family and the draws at odd places
+        # blocks of 3 rows cut the all-device rows and the draws at odd places;
+        # the one-device probes between them build no row
         expected = np.array(list(probe_directions(n, 120, seed=3)))
+        dense = np.concatenate([expected[:4], expected[4 + 2 * min(n, 32):]])
         rng = np.random.default_rng(3)
-        blocks = [_directions(start, min(start + 7, 120), n, rng) for start in range(0, 120, 7)]
-        assert np.array_equal(np.concatenate(blocks), expected)
+        blocks = [_directions(start, min(start + 3, len(dense)), n, rng)
+                  for start in range(0, len(dense), 3)]
+        assert np.array_equal(np.concatenate(blocks), dense)
 
     @settings(max_examples=120, deadline=None)
     @given(certify_draws())

@@ -820,7 +820,7 @@ class TestSolve:
     def test_reference_scenario(self, reference):
         report = solve(reference.devices, reference.system)
         assert report.converged
-        assert report.iterations <= reference.system.max_outer_iters
+        assert report.iterations <= solver_module._MAX_OUTER_ITERS
         trace = np.array(report.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
         res = log_domain_residuals(report.allocation, reference.devices, reference.system)
@@ -830,6 +830,16 @@ class TestSolve:
         assert np.all(report.allocation.beta >= 0.6 - 1e-12)
         assert np.all(report.allocation.beta <= 1.0 + 1e-12)
         assert res.delay_cap.max() <= 1e-7 + 1e-9
+
+    def test_iteration_cap_reports_no_convergence(self, reference, monkeypatch):
+        # three iterations converge on this budget; a cap of one stops short
+        devices = reference.devices.replace(energy_budget=0.05)
+        assert solve(devices, reference.system).iterations == 3
+        monkeypatch.setattr(solver_module, "_MAX_OUTER_ITERS", 1)
+        report = solve(devices, reference.system)
+        assert report.converged is False and report.iterations == 1
+        assert len(report.objective_trace) == 2
+        assert report.objective_trace[1] <= report.objective_trace[0]
 
     def test_monotone_descent_random(self):
         rng = np.random.default_rng(31)
