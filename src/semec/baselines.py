@@ -38,4 +38,4 @@ def solve_local_only(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> Solver
     objective = float((cycles / f_local).max())
     allocation = Allocation(f_local, np.zeros(sc.n), np.zeros(sc.n), np.zeros(sc.n),
                             np.ones(sc.n), objective)
-    return SolverReport(allocation, [objective], 1, True)
+    return SolverReport(allocation, [objective], 0, True)

@@ -41,7 +41,6 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "dump_scenario",
-    "validate_sweep",
     "run_sweep",
     "emit_csv",
 ]
@@ -62,8 +61,7 @@ _REFERENCE_DEVICE = {
     "energy_budget": 0.5,
 }
 
-_SEM_FIELDS = _OVERRIDES  # per-device overrides; null defers to the system
-_ENTRY_FIELDS = tuple(_REFERENCE_DEVICE) + _SEM_FIELDS
+_ENTRY_FIELDS = tuple(_REFERENCE_DEVICE) + _OVERRIDES  # an override's null defers to the system
 _SYSTEM_FIELDS = tuple(f.name for f in fields(SystemConfig))
 
 
@@ -90,19 +88,22 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter and the values it takes, at least one, as floats;
-    an integer that no float holds reads as NaN, which its rule rejects."""
+    """One swept parameter and the values it takes, at least one, as floats
+    that obey the parameter's rule (:func:`semec.model.check_number`); an
+    integer that no float holds reads as NaN, which every rule rejects."""
 
     param: str
     values: Tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.param not in SWEEPABLE_PARAMS:
-            raise ScenarioError(
-                f"unknown sweep parameter {self.param!r}; choose from {SWEEPABLE_PARAMS}")
+            raise ScenarioError(f"unknown sweep parameter {self.param!r}; "
+                                f"choose from {', '.join(SWEEPABLE_PARAMS)}")
         object.__setattr__(self, "values", tuple(map(_number, self.values)))
         if not self.values:
             raise ScenarioError(f"the {self.param} sweep lists no values")
+        for value in self.values:
+            check_number(self.param, value)
 
 
 @dataclass(frozen=True)
@@ -135,20 +136,19 @@ def _check_keys(section: dict, allowed: Sequence[str], where: str) -> None:
         raise ScenarioError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
-def _fields(section: object, where: str, nullable: Sequence[str] = ()) -> dict:
+def _mapping(section: object, where: str) -> dict:
     if not isinstance(section, dict):
         raise ScenarioError(f"{where} must be a mapping")
-    for name, value in section.items():
-        if value is None and name in nullable:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{where}.{name} must be a number, not {value!r}")
-    return dict(section)
+    return section
 
 
 def _uniform_table(template: dict, gains: np.ndarray) -> DeviceTable:
-    # every device is the template, so device 0 speaks for all
+    # every device is the template, so device 0 speaks for all; the table
+    # would read a list there as one value per device
     _check_keys(template, _ENTRY_FIELDS, "devices[0]")
+    for name, value in template.items():
+        if isinstance(value, (list, tuple, dict, np.ndarray)):
+            raise ScenarioError(f"devices.uniform.{name} must be a number, not {value!r}")
     return DeviceTable(channel_gain=gains, **{**_REFERENCE_DEVICE, **template})
 
 
@@ -182,8 +182,9 @@ def _scenario(doc: dict) -> Scenario:
     _check_keys(doc, ("label", "system", "devices", "channel"), "scenario")
     label = str(doc.get("label", ""))
 
-    system_doc = _fields(doc.get("system", {}), "system")
+    system_doc = dict(_mapping(doc.get("system", {}), "system"))
     _check_keys(system_doc, _SYSTEM_FIELDS + ("n_devices",), "system")
+    stated = "n_devices" in system_doc
     declared = system_doc.pop("n_devices", None)
 
     devices_doc = doc.get("devices")
@@ -192,20 +193,19 @@ def _scenario(doc: dict) -> Scenario:
         if "uniform" not in devices_doc:
             raise ScenarioError("devices mapping needs a 'uniform' template")
         n = devices_doc.get("count", declared)
-        if "count" in devices_doc or declared is None:
+        if "count" in devices_doc or not stated:
             check_number("devices.count", n)
-        uniform = _fields(devices_doc["uniform"], "devices.uniform", _SEM_FIELDS)
-        build_table = partial(_uniform_table, uniform)
+        build_table = partial(_uniform_table, _mapping(devices_doc["uniform"], "devices.uniform"))
     elif isinstance(devices_doc, list):
         if not devices_doc:
             raise ScenarioError("devices must list at least one device")
-        entries = [_fields(e, f"devices[{i}]", _SEM_FIELDS) for i, e in enumerate(devices_doc)]
-        n = len(entries)
-        build_table = partial(_listed_table, entries)
+        n = len(devices_doc)
+        build_table = partial(_listed_table, [_mapping(entry, f"devices[{i}]")
+                                              for i, entry in enumerate(devices_doc)])
     else:
         raise ScenarioError("devices must be a list or a uniform template mapping")
 
-    if declared is not None:
+    if stated:
         check_number("system.n_devices", declared)
         if declared != n:
             raise ScenarioError(f"system.n_devices={declared} but {n} device entries were given")
@@ -290,12 +290,6 @@ def _override(scenario: Scenario, param: str, value: float) -> Scenario:
     return replace(scenario, system=replace(scenario.system, **{param: value}))
 
 
-def validate_sweep(sweep: SweepSpec) -> None:
-    """Raise ValueError, naming the field, if a sweep value breaks the field's rule."""
-    for value in sweep.values:
-        check_number(sweep.param, value)
-
-
 def _run_algorithm(scenario: Scenario, algorithm: str) -> SolverReport:
     # run_sweep has rejected every name outside ALGORITHMS
     if algorithm == "semantic":
@@ -329,13 +323,12 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, algorithms: Sequence[str],
     Cells are deterministic given (scenario, sweep): channel gains, fading
     included, are resolved when the scenario is loaded, so re-running a
     sweep always reproduces its CSV. ``verify`` runs the perturbation
-    certificate on each semantic solve. An unknown algorithm or a sweep value
-    out of range raises ValueError before any cell is solved.
+    certificate on each semantic solve. An unknown algorithm raises
+    ValueError before any cell is solved.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    validate_sweep(sweep)
     results: List[SweepResult] = []
     for value in sweep.values:
         cell_scenario = _override(scenario, sweep.param, value)

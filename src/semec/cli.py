@@ -13,7 +13,6 @@ from .bench import (
     emit_csv,
     load_scenario,
     run_sweep,
-    validate_sweep,
 )
 
 
@@ -21,14 +20,10 @@ def _parse_sweep(text: str) -> SweepSpec:
     if "=" not in text:
         raise argparse.ArgumentTypeError("expected PARAM=v1,v2,...")
     name, _, values = text.partition("=")
-    name = name.strip()
-    if name not in SWEEPABLE_PARAMS:
-        raise argparse.ArgumentTypeError(
-            f"unknown sweep parameter {name!r}; choose from {', '.join(SWEEPABLE_PARAMS)}")
     try:
-        return SweepSpec(name, [float(v) for v in values.split(",") if v.strip() != ""])
-    except ValueError as exc:  # a word, or no value at all
-        raise argparse.ArgumentTypeError(f"bad sweep values: {exc}") from exc
+        return SweepSpec(name.strip(), [float(v) for v in values.split(",") if v.strip() != ""])
+    except ValueError as exc:  # a word, no value, an unknown parameter or a value its rule rejects
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,9 +46,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        if args.sweep is not None:
-            validate_sweep(args.sweep)
-    except (OSError, ValueError, MemoryError) as exc:  # a bad scenario, sweep value or count
+    except (OSError, ValueError, MemoryError) as exc:  # a missing or bad scenario, or its count
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -55,7 +55,7 @@ _RULES = {
     **{name: (-_HUGE, _HUGE, "must be finite")
        for name in ("noise_psd_dbm_hz", "variable_bounds")},
     # the counts: an integer passes, a bool does not
-    **{name: (1, _MAX_LENGTH, "must be a positive integer")
+    **{name: (1, _MAX_LENGTH, f"must be a positive integer, at most {_MAX_LENGTH}")
        for name in ("devices.count", "system.n_devices")},
     **{name: (0, _HUGE, "must be a nonnegative integer")
        for name in ("n_probes", "seed", "fading_seed")},
@@ -157,8 +157,10 @@ def _numbers(values: object) -> np.ndarray:
     nested list, or a bool, which numpy reads as 0 or 1) is NaN and fails its rule."""
     try:
         array = np.asarray(values)
-        # one pass in C over a list's entry types finds a bool among numbers
+        # a bool among numbers reads as 0 or 1, so only a list holding either
+        # needs the pass in C over its entry types that finds one
         if array.dtype.kind in "iuf" and (not isinstance(values, (list, tuple))
+                                          or not ((array == 0) | (array == 1)).any()
                                           or {bool, np.bool_}.isdisjoint(set(map(type, values)))):
             return array
     except ValueError:  # ragged nesting

@@ -533,12 +533,12 @@ def _start(sc: _Scenario) -> Allocation:
 
 
 def _at_start(sc: _Scenario) -> SolverReport:
-    """The start point as a finished solve, which it is when no block couples
-    to another: without work (after no iteration), and without extraction,
-    where the local rate is the hardware cap and one iteration changes nothing.
+    """The start point as a finished solve after no iteration, which it is
+    when no block couples to another: without work, and without extraction,
+    where the local rate is the hardware cap and an iteration changes nothing.
     """
     alloc = _start(sc)
-    return SolverReport(alloc, [alloc.t_epigraph], int(np.any(sc.active)), True)
+    return SolverReport(alloc, [alloc.t_epigraph], 0, True)
 
 
 def solve(tds: Sequence[TerminalDevice], cfg: SystemConfig) -> SolverReport:

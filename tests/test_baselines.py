@@ -32,6 +32,8 @@ class TestLocalOnly:
         td = make_device(energy_budget=3.0)
         report = solve_local_only([td], CFG)
         assert report.objective_trace[-1] == pytest.approx(0.21, rel=1e-12)
+        # no outer iteration runs, and the one-entry trace says so
+        assert report.iterations == 0 and report.converged
 
     def test_boundary_energy_gives_cap(self):
         td = make_device(energy_budget=1e-26 * 1e18 * 3e6 * 70.0)
@@ -85,6 +87,7 @@ class TestNoSemantic:
         expected = t_transmit + td.task_bits * td.intensity / CFG.f_mec_total
         assert report.objective_trace[-1] == pytest.approx(expected, rel=1e-9)
         assert report.allocation.f_remote.sum() == pytest.approx(CFG.f_mec_total, rel=1e-9)
+        assert report.iterations == 0 and report.converged
 
     def test_zero_extraction_pass(self):
         td = make_device()

@@ -31,6 +31,7 @@ from semec.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_PATH = ROOT / "scenarios" / "reference.json"
+COUNT_RULE = "must be a positive integer, at most 1152921504606846975"  # 2**60 - 1
 
 
 def minimal_doc(**overrides):
@@ -168,14 +169,14 @@ class TestLoadScenario:
             scenario_from_dict(minimal_doc(**overrides))
 
     @pytest.mark.parametrize("overrides,message", [
-        ({"devices": {"uniform": {}, "count": -3}}, "devices.count must be a positive integer"),
-        ({"devices": {"uniform": {}, "count": 0}}, "devices.count must be a positive integer"),
+        ({"devices": {"uniform": {}, "count": -3}}, f"devices.count {COUNT_RULE}"),
+        ({"devices": {"uniform": {}, "count": 0}}, f"devices.count {COUNT_RULE}"),
         ({"system": {"n_devices": -3}, "devices": {"uniform": {}}},
-         "system.n_devices must be a positive integer"),
-        ({"system": {}, "devices": {"uniform": {}}}, "devices.count must be a positive integer"),
+         f"system.n_devices {COUNT_RULE}"),
+        ({"system": {}, "devices": {"uniform": {}}}, f"devices.count {COUNT_RULE}"),
         ({"system": {}, "devices": []}, "devices must list at least one device"),
         ({"system": {"n_devices": 0}, "devices": []}, "devices must list at least one device"),
-        ({"system": {"n_devices": 0}}, "system.n_devices must be a positive integer"),
+        ({"system": {"n_devices": 0}}, f"system.n_devices {COUNT_RULE}"),
     ])
     def test_count_errors_name_the_field_given(self, overrides, message):
         with pytest.raises(ScenarioError, match="^" + re.escape(message)):
@@ -183,16 +184,13 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize("overrides,message", [
         *(pytest.param({"system": {}, "devices": {"uniform": {}, "count": value}},
-                       "devices.count must be a positive integer", id=f"count-{name}")
+                       f"devices.count {COUNT_RULE}", id=f"count-{name}")
           for name, value in (("10**400", 10**400), ("True", True), ("2.5", 2.5), ("-1", -1),
                               ("2**60", 2**60), ("2**63-1", 2**63 - 1))),
         *(pytest.param({"system": {"n_devices": value}, "devices": {"uniform": {}}},
-                       "system.n_devices must be a positive integer", id=f"n-devices-{name}")
-          for name, value in (("10**400", 10**400), ("2.5", 2.5), ("-1", -1),
-                              ("2**63-1", 2**63 - 1))),
-        # a bool is no number to any section
-        pytest.param({"system": {"n_devices": True}, "devices": {"uniform": {}}},
-                     "system.n_devices must be a number, not True", id="n-devices-True"),
+                       f"system.n_devices {COUNT_RULE}", id=f"n-devices-{name}")
+          for name, value in (("10**400", 10**400), ("True", True), ("2.5", 2.5), ("-1", -1),
+                              ("2**63-1", 2**63 - 1), ("null", None))),
         *(pytest.param({"channel": {"distances_m": [120.0, 200.0], "fading_seed": value}},
                        "channel.fading_seed must be a nonnegative integer", id=f"seed-{name}")
           for name, value in (("10**400", 10**400), ("True", True), ("2.5", 2.5), ("-1", -1))),
@@ -202,6 +200,16 @@ class TestLoadScenario:
                      "channel.distances_m must be finite and positive", id="distances-10**400"),
         pytest.param({"channel": {"distances_m": [120.0, "200"]}},
                      "channel.distances_m must be finite and positive", id="distances-string"),
+        # the table would read a list in the template as one value per device
+        pytest.param({"devices": {"uniform": {"task_bits": [1e6, 2e6]}, "count": 2}},
+                     "devices.uniform.task_bits must be a number, not [1000000.0, 2000000.0]",
+                     id="uniform-list"),
+        pytest.param({"devices": {"uniform": {"sem_a": {}}, "count": 2}},
+                     "devices.uniform.sem_a must be a number, not {}", id="uniform-mapping"),
+        pytest.param({"devices": {"uniform": {"task_bits": "3e6"}, "count": 2}},
+                     "devices[0]: task_bits must be finite and nonnegative", id="uniform-string"),
+        pytest.param({"system": {"n_devices": 2, "sem_k": True}},
+                     "system: sem_k must be finite and positive when given", id="system-bool"),
     ])
     def test_every_number_obeys_its_rule(self, overrides, message):
         with pytest.raises(ScenarioError) as exc:
@@ -339,10 +347,11 @@ class TestRunSweep:
         devices = reference.devices.replace(energy_budget=0.3)
         assert r.max_delay_s == solve_local_only(devices, reference.system).allocation.t_epigraph
 
-    def test_value_no_float_holds_rejected_like_inf(self, reference):
+    def test_value_no_float_holds_rejected_like_inf(self):
+        # a sweep obeys its parameter's rule once it is made
         for value in (math.inf, 10**400):
             with pytest.raises(ValueError, match="^task_bits must be finite and nonnegative$"):
-                run_sweep(reference, SweepSpec("task_bits", (value,)), ["semantic"])
+                SweepSpec("task_bits", (value,))
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ScenarioError, match="unknown sweep parameter"):
@@ -450,12 +459,15 @@ class TestCli:
 
     @pytest.mark.parametrize("value,message", [
         ("energy_budget", "expected PARAM=v1,v2,..."),
-        ("nosuch=1", "unknown sweep parameter 'nosuch'; choose from "),
-        ("energy_budget=a", "bad sweep values: could not convert string to float: 'a'"),
-        ("energy_budget=", "bad sweep values: the energy_budget sweep lists no values"),
-        ("energy_budget= , ", "bad sweep values: the energy_budget sweep lists no values")],
+        ("nosuch=1", "unknown sweep parameter 'nosuch'; choose from energy_budget, "),
+        ("energy_budget=a", "could not convert string to float: 'a'"),
+        ("energy_budget=", "the energy_budget sweep lists no values"),
+        ("energy_budget= , ", "the energy_budget sweep lists no values"),
+        ("energy_budget=0.5,-1", "energy_budget must be finite and positive"),
+        ("sem_k=0", "sem_k must be finite and positive when given"),
+        ("task_bits=1e400", "task_bits must be finite and nonnegative")],
         ids=["no_equals_sign", "unknown_param", "non_numeric_value", "no_values",
-             "blank_values"])
+             "blank_values", "negative_value", "zero_override", "value_no_float_holds"])
     def test_malformed_sweep_text(self, tmp_path, capsys, value, message):
         out = tmp_path / "bad.csv"
         with pytest.raises(SystemExit) as exc:
@@ -469,17 +481,15 @@ class TestCli:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("flag,value,field", [("--sweep", "energy_budget=0.5,-1",
-                                                   "energy_budget"),
-                                                  ("--sweep", "sem_k=0", "sem_k")])
-    def test_bad_override_is_an_error_not_a_traceback(self, tmp_path, capsys, flag, value,
-                                                      field):
-        out = tmp_path / "bad.csv"
-        code = cli_main(["--scenario", str(SCENARIO_PATH), "--out", str(out), flag, value])
-        assert code == 2
+    def test_bad_sweep_is_reported_before_the_scenario_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--scenario", str(missing), "--out", str(tmp_path / "x.csv"),
+                      "--sweep", "sem_k=0"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err
-        assert not out.exists()
+        assert "argument --sweep: sem_k must be finite and positive when given" in err
+        assert "nope.json" not in err
 
     @pytest.mark.parametrize("field,value,message", [
         # the outer loop's tolerance and cap are the solver's constants now
@@ -506,7 +516,7 @@ class TestCli:
         scenario.write_text(json.dumps(doc))
         out = tmp_path / "huge.csv"
         assert cli_main(["--scenario", str(scenario), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: devices.count must be a positive integer\n"
+        assert capsys.readouterr().err == f"error: devices.count {COUNT_RULE}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [2**60, 2**63 - 1], ids=["2**60", "2**63-1"])
@@ -519,7 +529,7 @@ class TestCli:
         scenario.write_text(json.dumps(doc))
         out = tmp_path / "huge.csv"
         assert cli_main(["--scenario", str(scenario), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: devices.count must be a positive integer\n"
+        assert capsys.readouterr().err == f"error: devices.count {COUNT_RULE}\n"
         assert not out.exists()
 
     def test_count_no_array_holds_is_an_error_not_a_traceback(self, tmp_path, capsys,

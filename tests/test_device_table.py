@@ -228,13 +228,6 @@ def device_by_device(doc: dict):
     """The message of loading one validated device at a time, or the devices."""
     devices = doc["devices"]
     entries = [devices["uniform"]] * devices["count"] if isinstance(devices, dict) else devices
-    wheres = (["devices.uniform"] if isinstance(devices, dict)
-              else [f"devices[{i}]" for i in range(len(entries))])
-    for where, entry in zip(wheres, entries):
-        for name, value in entry.items():
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, (int, float))):
-                return f"{where}.{name} must be a number, not {value!r}"
     out = []
     for i, (entry, gain) in enumerate(zip(entries, doc["channel"]["gains"])):
         try:

@@ -193,6 +193,10 @@ def test_a_bool_is_no_number():
     for gains in ([True, 2e-10], [2e-10, np.True_], (2e-10, True)):
         with pytest.raises(ValueError, match=r"^devices\[\d\]: channel_gain must "):
             DeviceTable(**{**columns, "channel_gain": gains})
+    # among entries equal to 1.0 and 0.0 a bool reads as a number the rule admits
+    for task_bits in ([1.0, 0.0, True], [False, 0.0, 1.0], [0, 1, np.False_]):
+        with pytest.raises(ValueError, match=r"^devices\[\d\]: task_bits must "):
+            DeviceTable(**{**columns, "task_bits": task_bits})
 
 
 def test_remote_rate_columns_take_numbers_only():
